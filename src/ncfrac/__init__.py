@@ -49,6 +49,7 @@ from .ergodic import (
     float_shadow_digits,
     levy_estimate,
     lyapunov_estimate,
+    orbit_estimates,
     sample_orbit,
     sample_rational,
     shadow_divergence_step,
@@ -105,6 +106,7 @@ __all__ = [
     "float_shadow_digits",
     "levy_estimate",
     "lyapunov_estimate",
+    "orbit_estimates",
     "sample_orbit",
     "sample_rational",
     "shadow_divergence_step",

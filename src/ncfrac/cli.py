@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -130,21 +129,17 @@ def _check(suite: str, n: int, report: ergodic.EstimateReport, tolerance: float,
 
 
 def _suite_birkhoff(ns, args) -> list[dict]:
-    rows = []
-    for n in ns:
-        cfg = _sample_config(n, args)
-        rows.append(_check("birkhoff", n,
-                           ergodic.birkhoff_estimate(cfg, "log-digit", threads=args.threads),
-                           TOLERANCES["birkhoff"]))
-        rows.append(_check("birkhoff", n,
-                           ergodic.birkhoff_estimate(cfg, "digit-indicator", threads=args.threads),
-                           TOLERANCES["birkhoff"]))
-    return rows
+    return [
+        _check("birkhoff", n, report, TOLERANCES["birkhoff"])
+        for n in ns
+        for report in ergodic.orbit_estimates(
+            _sample_config(n, args), [("log-digit", None), ("digit-indicator", None)])
+    ]
 
 
 def _suite_lyapunov(ns, args) -> list[dict]:
     return [
-        _check("lyapunov", n, ergodic.lyapunov_estimate(_sample_config(n, args), threads=args.threads),
+        _check("lyapunov", n, ergodic.lyapunov_estimate(_sample_config(n, args)),
                TOLERANCES["lyapunov"])
         for n in ns
     ]
@@ -153,7 +148,7 @@ def _suite_lyapunov(ns, args) -> list[dict]:
 def _suite_levy(ns, args) -> list[dict]:
     rows = []
     for n in ns:
-        report = ergodic.levy_estimate(_sample_config(n, args), threads=args.threads)
+        report = ergodic.levy_estimate(_sample_config(n, args))
         rows.append(_check("levy", n, report, TOLERANCES["levy"]))
         floor_row = {
             "suite": "levy",
@@ -170,14 +165,12 @@ def _suite_levy(ns, args) -> list[dict]:
 
 
 def _suite_frequencies(ns, args) -> list[dict]:
-    rows = []
-    for n in ns:
-        cfg = _sample_config(n, args)
-        for digit_value in range(n, n + 3):
-            report = ergodic.birkhoff_estimate(cfg, "digit-indicator", M=digit_value,
-                                               threads=args.threads)
-            rows.append(_check("frequencies", n, report, TOLERANCES["frequencies"]))
-    return rows
+    return [
+        _check("frequencies", n, report, TOLERANCES["frequencies"])
+        for n in ns
+        for report in ergodic.orbit_estimates(
+            _sample_config(n, args), [("digit-indicator", m) for m in range(n, n + 3)])
+    ]
 
 
 def _suite_bounds(ns, args) -> list[dict]:
@@ -253,7 +246,6 @@ def _cmd_verify(args) -> tuple[list[dict], dict, int]:
         "max_terms": args.max_terms,
         "seed": args.seed,
         "cells": args.cells,
-        "threads": args.threads,
     }
     failed = [row for row in rows if not row["pass"]]
     return rows, config, 1 if failed else 0
@@ -372,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--cells", type=int, default=512, help="grid size for the ulam suite")
-    p_verify.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                          help="worker processes for trial loops (1 = serial; results identical)")
     add_io_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)
     return parser
@@ -396,8 +386,12 @@ def main(argv=None) -> int:
         text = _render_plain(args.command, results)
 
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

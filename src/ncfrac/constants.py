@@ -94,6 +94,11 @@ def _zeta_comb(coeffs, start: float, shift: float = 0.0) -> float:
     return float(sum(c * _hurwitz_zeta(s - shift, start) for s, c in coeffs))
 
 
+def _check_tol(tol: float) -> None:
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be a finite number > 0, got {tol}")
+
+
 def _geometric_mean_series(N: int, tol: float) -> tuple[float, int, float]:
     """log of the digit geometric mean; returns (value, terms used, tail bound)."""
     scale = math.log1p(1.0 / N)
@@ -114,14 +119,15 @@ def khinchin(N: int, tol: float = 1e-12) -> float:
     result (so roughly its relative error).
     """
     check_index(N)
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     log_value, _, _ = _geometric_mean_series(N, tol)
     return math.exp(log_value)
 
 
 def _holder_series(N: int, r: float, tol: float) -> tuple[float, int, float]:
     """Mean of digit**r under the invariant measure; (value, terms, tail bound)."""
+    if not math.isfinite(r):
+        raise ValueError(f"order r must be a finite number or >= 1, got {r}")
     scale = math.log1p(1.0 / N)
     K = max(N, 128)
     while _LOG1P_BRANCH_NEXT * _hurwitz_zeta(9 - r, K + 1) > tol * scale and K < 1 << 24:
@@ -142,8 +148,7 @@ def holder_mean(N: int, r: float, tol: float = 1e-12) -> float:
     truncation error of the underlying series (the r-th power of the result).
     """
     check_index(N)
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0, got {tol}")
+    _check_tol(tol)
     if r >= 1:
         return math.inf
     if r == 0:
@@ -252,6 +257,7 @@ class ConstantsReport:
         cls, N: int, rs: Sequence[float] = (-1.0, 0.5), tol: float = 1e-12
     ) -> "ConstantsReport":
         check_index(N)
+        _check_tol(tol)
         log_k, k_terms, k_bound = _geometric_mean_series(N, tol)
         diagnostics = {"khinchin": (k_terms, k_bound)}
         holder: list[tuple[float, float]] = []

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 __all__ = [
     "DEFAULT_MAX_TERMS",
@@ -106,16 +106,29 @@ def digit(x: RationalLike, N: int) -> int:
     return N * x.denominator // x.numerator
 
 
+def _steps(x: Fraction, N: int, max_terms: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
+    """Yield (digit, p, q) per exact step of the orbit of x, p/q being the image.
+
+    The step (p, q) -> (N*q mod p, p) skips reduction: the ratio, so every
+    digit, is unchanged and p still strictly decreases, so the walk ends at
+    the same step.  Each yielded q is the previous p.  Stops at 0, or after
+    max_terms steps (None: no limit).
+    """
+    p, q = x.numerator, x.denominator
+    n = 0
+    while p != 0 and n != max_terms:
+        a, r = divmod(N * q, p)
+        p, q = r, p
+        n += 1
+        yield a, p, q
+
+
 def orbit(x: RationalLike, N: int) -> Iterator[Fraction]:
     """Yield x, T(x), T^2(x), ... exactly, stopping after the first 0."""
     check_index(N)
     x = _as_unit_rational(x)
-    p, q = x.numerator, x.denominator
-    yield Fraction(p, q)
-    while p != 0:
-        r = N * q % p
-        g = math.gcd(r, p)
-        p, q = r // g, p // g
+    yield x
+    for _, p, q in _steps(x, N):
         yield Fraction(p, q)
 
 
@@ -131,13 +144,10 @@ def expand(x: RationalLike, N: int, max_terms: int = DEFAULT_MAX_TERMS) -> Expan
     if max_terms < 0:
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     x = _as_unit_rational(x)
-    p, q = x.numerator, x.denominator
     coeffs = []
-    while p != 0 and len(coeffs) < max_terms:
-        a, r = divmod(N * q, p)
+    p = x.numerator
+    for a, p, _ in _steps(x, N, max_terms):
         coeffs.append(a)
-        g = math.gcd(r, p)
-        p, q = r // g, p // g
     return Expansion(N=N, coeffs=tuple(coeffs), terminated=p == 0)
 
 

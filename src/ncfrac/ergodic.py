@@ -9,23 +9,23 @@ digits go wrong within a few dozen steps (see :func:`shadow_divergence_step`),
 while the exact orbit is ground truth for its full length.
 
 Trials are independent with per-trial RNG substreams derived from
-(seed, trial index), so results do not depend on execution order and the
-optional process-level parallelism returns bit-identical reports.
+(seed, trial index), so results do not depend on execution order.  Each
+trial walks its orbit once with the exact kernel of :mod:`ncfrac.dynamics`
+and feeds every requested observable from that one pass.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from . import constants
-from .convergents import convergent_sequence
-from .dynamics import Expansion, RationalLike, check_index, expand, fixed_point
+from .convergents import _recursion, convergent_sequence
+from .dynamics import Expansion, RationalLike, _steps, check_index, expand, fixed_point
 
 __all__ = [
     "OBSERVABLES",
@@ -36,12 +36,14 @@ __all__ = [
     "float_shadow_digits",
     "levy_estimate",
     "lyapunov_estimate",
+    "orbit_estimates",
     "sample_orbit",
     "sample_rational",
     "shadow_divergence_step",
 ]
 
-OBSERVABLES = ("log-digit", "digit-power", "digit-indicator", "log-derivative")
+OBSERVABLES = ("log-digit", "digit-power", "digit-indicator", "log-derivative",
+               "denominator-growth")
 
 
 @dataclass(frozen=True)
@@ -159,57 +161,43 @@ def sample_orbit(cfg: SampleConfig, trial: int = 0) -> Expansion:
     return expand(sample_rational(cfg, trial), cfg.N, cfg.max_terms)
 
 
-def _trial_digit_mean(args) -> tuple[float, int]:
-    """Per-trial mean of the requested digit/orbit observable."""
-    cfg, trial, mode, param = args
-    x = sample_rational(cfg, trial)
-    N = cfg.N
-    log_n = math.log(N)
-    p, q = x.numerator, x.denominator
-    total = 0.0
-    n = 0
-    while p != 0 and n < cfg.max_terms:
-        if mode == "log-derivative":
-            # log|T'(x_k)| = log(N / x_k^2), with x_k = p/q exact
-            total += log_n - 2.0 * (math.log(p) - math.log(q))
-        a, r = divmod(N * q, p)
-        if mode == "log-digit":
-            total += math.log(a)
-        elif mode == "digit-power":
-            total += math.exp(param * math.log(a))
-        elif mode == "digit-indicator":
-            total += 1.0 if a == param else 0.0
-        g = math.gcd(r, p)
-        p, q = r // g, p // g
-        n += 1
-    return total / n, n
+def _check_observable(cfg: SampleConfig, observable: str, param) -> tuple[str, Optional[float]]:
+    """Validate one (observable, parameter) request; fill in the default digit M = N."""
+    if observable not in OBSERVABLES:
+        raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
+    if observable == "digit-power":
+        if param is None:
+            raise ValueError("digit-power needs the exponent r")
+        if param == 0:
+            raise ValueError("order 0 is the geometric mean; use the log-digit observable")
+    elif observable == "digit-indicator":
+        param = cfg.N if param is None else param
+        if param < cfg.N:
+            raise ValueError(f"digit {param} can never occur (digits are >= {cfg.N})")
+    return observable, param
 
 
-def _trial_digits(args) -> list[int]:
-    cfg, trial = args
-    return list(sample_orbit(cfg, trial).coeffs)
+def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, N: int) -> float:
+    """Per-trial mean of one observable; log_ratio is log(x_0 * ... * x_{n-1})."""
+    n = len(digits)
+    if observable == "log-digit":
+        return sum(math.log(a) for a in digits) / n
+    if observable == "digit-power":
+        return sum(math.exp(param * math.log(a)) for a in digits) / n
+    if observable == "digit-indicator":
+        return digits.count(param) / n
+    if observable == "log-derivative":
+        # sum of log(N / x_k^2)
+        return (n * math.log(N) - 2.0 * log_ratio) / n
+    # denominator-growth: keep only the last B_n, not the orbit's whole trace
+    for _, B in _recursion(digits, N):
+        pass
+    return math.log(B) / n
 
 
-def _trial_denominator_rate(args) -> tuple[float, int]:
-    cfg, trial = args
-    coeffs = sample_orbit(cfg, trial).coeffs
-    trace = convergent_sequence(coeffs, cfg.N)
-    return math.log(trace.final.B) / trace.depth, trace.depth
-
-
-def _map_trials(worker, tasks, threads: int):
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(t) for t in tasks]
-
-
-def _divergence_report(cfg: SampleConfig, r: float, threads: int) -> EstimateReport:
+def _divergence_report(cfg: SampleConfig, r: float, digits: list[int]) -> EstimateReport:
     """Running means of digit**r pooled over trials; no finite estimate exists."""
-    digit_lists = _map_trials(_trial_digits, [(cfg, t) for t in range(cfg.trials)], threads)
-    powers = np.concatenate(
-        [np.array([math.exp(r * math.log(a)) for a in digits]) for digits in digit_lists]
-    )
+    powers = np.array([math.exp(r * math.log(a)) for a in digits])
     running = np.cumsum(powers) / np.arange(1, len(powers) + 1)
     marks = [n for n in (100, 300, 1000, 3000, 10000, 30000, 100000) if n <= len(powers)]
     if not marks or marks[-1] != len(powers):
@@ -228,95 +216,92 @@ def _divergence_report(cfg: SampleConfig, r: float, threads: int) -> EstimateRep
     )
 
 
-def birkhoff_estimate(
-    cfg: SampleConfig,
-    observable: str,
-    *,
-    r: Optional[float] = None,
-    M: Optional[int] = None,
-    threads: int = 1,
-) -> EstimateReport:
-    """Orbit average of one observable against its closed-form space average.
-
-    observable is one of OBSERVABLES: "log-digit" (geometric mean of digits,
-    target khinchin), "digit-power" with exponent r (target holder_mean;
-    r >= 1 yields a divergence diagnostic instead of an estimate),
-    "digit-indicator" with digit M (target frequency), or "log-derivative"
-    (target lyapunov_const).
-    """
-    if observable not in OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
-    if observable == "digit-power":
-        if r is None:
-            raise ValueError("digit-power needs the exponent r")
-        if r == 0:
-            raise ValueError("order 0 is the geometric mean; use the log-digit observable")
-        if r >= 1:
-            return _divergence_report(cfg, r, threads)
-        param: float | int = r
-    elif observable == "digit-indicator":
-        M = cfg.N if M is None else M
-        if M < cfg.N:
-            raise ValueError(f"digit {M} can never occur (digits are >= {cfg.N})")
-        param = M
-    else:
-        param = 0
-
-    tasks = [(cfg, t, observable, param) for t in range(cfg.trials)]
-    results = _map_trials(_trial_digit_mean, tasks, threads)
-    means = np.array([m for m, _ in results])
-    terms = int(sum(n for _, n in results))
+def _estimate_report(cfg: SampleConfig, observable: str, param, means: list[float],
+                     terms: int) -> EstimateReport:
+    """Pool per-trial means into one report against the closed-form target."""
+    means = np.array(means)
     grand = float(means.mean())
     std = float(means.std(ddof=1)) if cfg.trials > 1 else 0.0
-
+    value, extras = grand, {}
     if observable == "log-digit":
-        quantity = "geometric-mean"
-        value, target = math.exp(grand), constants.khinchin(cfg.N)
+        quantity, value, target = "geometric-mean", math.exp(grand), constants.khinchin(cfg.N)
         extras = {"scale": "log", "log_value": grand}
     elif observable == "digit-power":
-        quantity = f"digit-power[r={r:g}]"
-        value, target = grand ** (1.0 / r), constants.holder_mean(cfg.N, r)
-        extras = {"scale": f"power[{r:g}]", "power_mean": grand}
+        quantity, value = f"digit-power[r={param:g}]", grand ** (1.0 / param)
+        target = constants.holder_mean(cfg.N, param)
+        extras = {"scale": f"power[{param:g}]", "power_mean": grand}
     elif observable == "digit-indicator":
-        quantity = f"digit-frequency[M={M}]"
-        value, target = grand, constants.frequency(cfg.N, M)
-        extras = {}
+        quantity, target = f"digit-frequency[M={param}]", constants.frequency(cfg.N, param)
+    elif observable == "log-derivative":
+        quantity, target = "lyapunov", constants.lyapunov_const(cfg.N)
     else:
-        quantity = "lyapunov"
-        value, target = grand, constants.lyapunov_const(cfg.N)
-        extras = {}
-
+        quantity, target = "denominator-growth", constants.levy_L(cfg.N)
+        _, denom_bound = constants.lower_bounds(cfg.N)
+        extras = {"min_rate": float(means.min()), "denominator_bound": denom_bound}
     return EstimateReport.from_value(
         quantity, value, target,
         per_trial_std=std, trials=cfg.trials, terms=terms, extras=extras,
     )
 
 
-def lyapunov_estimate(cfg: SampleConfig, threads: int = 1) -> EstimateReport:
-    """Mean of log|T'| along exact orbits; target 2*levy_lambda(N) + log(N)."""
-    return birkhoff_estimate(cfg, "log-derivative", threads=threads)
+def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[EstimateReport]:
+    """One report per (observable, parameter) pair, from one exact pass per orbit.
 
-
-def levy_estimate(cfg: SampleConfig, threads: int = 1) -> EstimateReport:
-    """Per-trial log(B_n)/n at the deepest available n; target levy_L(N).
-
-    extras carry the minimum per-trial rate next to the universal
-    denominator lower bound, which every trial must respect.
+    Observables (OBSERVABLES) and their targets: "log-digit", khinchin;
+    "digit-power" with exponent r, holder_mean (r >= 1 yields a divergence
+    diagnostic instead); "digit-indicator" with digit M (default N),
+    frequency; "log-derivative", lyapunov_const; "denominator-growth",
+    log(B_n)/n at the deepest n, levy_L, with the minimum per-trial rate and
+    the denominator lower bound, which every trial must respect, in extras.
     """
-    tasks = [(cfg, t) for t in range(cfg.trials)]
-    results = _map_trials(_trial_denominator_rate, tasks, threads)
-    rates = np.array([rate for rate, _ in results])
-    terms = int(sum(n for _, n in results))
-    _, denom_bound = constants.lower_bounds(cfg.N)
-    return EstimateReport.from_value(
-        "denominator-growth",
-        float(rates.mean()),
-        constants.levy_L(cfg.N),
-        per_trial_std=float(rates.std(ddof=1)) if cfg.trials > 1 else 0.0,
-        trials=cfg.trials,
-        terms=terms,
-        extras={"min_rate": float(rates.min()), "denominator_bound": denom_bound},
-    )
+    requests = [_check_observable(cfg, name, param) for name, param in observables]
+    # a divergent power has no per-trial mean; its report pools every digit
+    means = [None if name == "digit-power" and param >= 1 else [] for name, param in requests]
+    pooled: list[int] = []
+    terms = 0
+    for trial in range(cfg.trials):
+        x = sample_rational(cfg, trial)
+        digits = []
+        for a, _, q in _steps(x, cfg.N, cfg.max_terms):
+            digits.append(a)
+        # q is now the last numerator stepped from: x_0 * ... * x_{n-1} = q / x.denominator
+        log_ratio = math.log(q) - math.log(x.denominator)
+        for (name, param), out in zip(requests, means):
+            if out is not None:
+                out.append(_trial_mean(name, param, digits, log_ratio, cfg.N))
+        if None in means:
+            pooled.extend(digits)
+        terms += len(digits)
+    return [
+        _divergence_report(cfg, param, pooled) if out is None
+        else _estimate_report(cfg, name, param, out, terms)
+        for (name, param), out in zip(requests, means)
+    ]
+
+
+def birkhoff_estimate(
+    cfg: SampleConfig,
+    observable: str,
+    *,
+    r: Optional[float] = None,
+    M: Optional[int] = None,
+) -> EstimateReport:
+    """Orbit average of one observable against its closed-form space average.
+
+    observable is one of OBSERVABLES (see :func:`orbit_estimates`); r is the
+    exponent of "digit-power" and M the digit of "digit-indicator".
+    """
+    return orbit_estimates(cfg, [(observable, r if observable == "digit-power" else M)])[0]
+
+
+def lyapunov_estimate(cfg: SampleConfig) -> EstimateReport:
+    """Mean of log|T'| along exact orbits; target 2*levy_lambda(N) + log(N)."""
+    return birkhoff_estimate(cfg, "log-derivative")
+
+
+def levy_estimate(cfg: SampleConfig) -> EstimateReport:
+    """Per-trial log(B_n)/n at the deepest available n; target levy_L(N)."""
+    return birkhoff_estimate(cfg, "denominator-growth")
 
 
 def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
@@ -358,19 +343,15 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
     # enough digits that `depth` steps cannot burn through the approximation
     digits = int(depth * constants.levy_L(N) / math.log(10)) + 60
     z = fixed_point(N, N, digits=digits)
-    p, q = z.numerator, z.denominator
-    log_n = math.log(N)
-    total = 0.0
-    for _ in range(depth):
-        total += log_n - 2.0 * (math.log(p) - math.log(q))
-        a, rem = divmod(N * q, p)
-        if a != N:
-            raise RuntimeError("fixed-point approximation ran out of precision")
-        g = math.gcd(rem, p)
-        p, q = rem // g, p // g
+    coeffs = []
+    for a, _, q in _steps(z, N, depth):
+        coeffs.append(a)
+    if coeffs != [N] * depth:
+        raise RuntimeError("fixed-point approximation ran out of precision")
+    log_ratio = math.log(q) - math.log(z.denominator)
     lyap_report = EstimateReport.from_value(
         "lyapunov[const-digit]",
-        total / depth,
+        (depth * math.log(N) - 2.0 * log_ratio) / depth,
         lyap_bound,
         trials=1,
         terms=depth,

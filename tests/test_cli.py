@@ -95,6 +95,24 @@ class TestConstants:
         code, _, err = run_cli(capsys, "constants", "--n", "0..2")
         assert code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-12", "inf"])
+    def test_bad_tol_exits_2(self, capsys, tol):
+        code, out, err = run_cli(capsys, "constants", f"--tol={tol}", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("r", ["nan", "-inf", "-1,nan"])
+    def test_non_finite_order_exits_2(self, capsys, r):
+        code, out, err = run_cli(capsys, "constants", f"--r={r}", "--format", "json")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_infinite_order_is_divergent(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--r=inf", "--format", "json")
+        assert code == 0
+        (record,) = json.loads(out)["results"]
+        assert record["holder_mean[r=inf]"] == "divergent"
+
 
 class TestVerify:
     def test_bounds_suite_passes(self, capsys):
@@ -112,7 +130,7 @@ class TestVerify:
     def test_birkhoff_suite_small(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "birkhoff", "--n", "1", "--trials", "50", "--bits", "256",
-            "--seed", "11", "--threads", "1", "--format", "csv",
+            "--seed", "11", "--format", "csv",
         )
         assert code == 0
         rows = list(csv.reader(io.StringIO(out)))
@@ -124,7 +142,7 @@ class TestVerify:
         # 2 trials of 64-bit samples cannot hit 2%: deterministic failure fixture
         code, out, _ = run_cli(
             capsys, "verify", "birkhoff", "--n", "1", "--trials", "2", "--bits", "64",
-            "--seed", "0", "--threads", "1",
+            "--seed", "0",
         )
         assert code == 1
         assert "FAIL" in out
@@ -132,7 +150,7 @@ class TestVerify:
     def test_levy_suite_reports_floor(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "levy", "--n", "2", "--trials", "40", "--bits", "256",
-            "--seed", "11", "--threads", "1", "--format", "json",
+            "--seed", "11", "--format", "json",
         )
         assert code == 0
         rows = json.loads(out)["results"]
@@ -148,7 +166,7 @@ class TestVerify:
 class TestReproducibility:
     def test_identical_runs_identical_bytes(self, capsys):
         args = ("verify", "lyapunov", "--n", "2", "--trials", "30", "--bits", "128",
-                "--seed", "9", "--threads", "1", "--format", "json")
+                "--seed", "9", "--format", "json")
         _, first, _ = run_cli(capsys, *args)
         _, second, _ = run_cli(capsys, *args)
         assert first == second
@@ -160,8 +178,16 @@ class TestReproducibility:
         assert code == 0 and out == ""
         assert json.loads(out_path.read_text())["command"] == "constants"
 
+    def test_unwritable_output_exits_2(self, capsys, tmp_path):
+        out_path = tmp_path / "missing" / "report.json"
+        code, out, err = run_cli(capsys, "constants", "--n", "1", "--format", "json",
+                                 "--output", str(out_path))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_path.exists()
+
     def test_config_echo_carries_seed(self, capsys):
         _, out, _ = run_cli(capsys, "verify", "lyapunov", "--n", "1", "--trials", "20",
-                            "--bits", "128", "--seed", "123", "--threads", "1",
-                            "--format", "json")
-        assert json.loads(out)["config"]["seed"] == 123
+                            "--bits", "128", "--seed", "123", "--format", "json")
+        config = json.loads(out)["config"]
+        assert config["seed"] == 123 and "threads" not in config

@@ -156,8 +156,13 @@ class TestKhinchinMean:
         assert khinchin(1000) / 1000 == pytest.approx(math.e, rel=2e-3)
 
     def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            khinchin(1, tol=0.0)
+        for tol in (0.0, -1e-12, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                khinchin(1, tol=tol)
+            with pytest.raises(ValueError):
+                holder_mean(1, -1.0, tol=tol)
+            with pytest.raises(ValueError):
+                ConstantsReport.compute(1, tol=tol)
 
 
 class TestHolderMean:
@@ -170,6 +175,14 @@ class TestHolderMean:
         for N in (1, 2, 5):
             for r in (1.0, 1.5, 2.0):
                 assert math.isinf(holder_mean(N, r))
+
+    def test_non_finite_orders_below_one_rejected(self):
+        for r in (math.nan, -math.inf):
+            with pytest.raises(ValueError):
+                holder_mean(2, r)
+            with pytest.raises(ValueError):
+                ConstantsReport.compute(2, rs=(r,))
+        assert math.isinf(holder_mean(2, math.inf))
 
     def test_order_zero_dispatches_to_geometric(self):
         assert holder_mean(3, 0.0) == khinchin(3)

@@ -23,6 +23,7 @@ from ncfrac import (
     lyapunov_const,
     sample_rational,
 )
+from ncfrac.dynamics import _steps
 
 # digit sequences admissible for the index drawn alongside them
 admissible_cases = st.integers(min_value=1, max_value=10).flatmap(
@@ -95,6 +96,23 @@ def test_reduced_ratio_matches_evaluate(case):
     trace = convergent_sequence(coeffs, N)
     for n in range(1, trace.depth + 1):
         assert trace.ratio(n) == evaluate(coeffs[:n], N)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=2, max_value=2**200),
+    st.integers(min_value=1, max_value=2**200),
+    st.integers(min_value=1, max_value=300),
+)
+def test_kernel_numerators_pair_with_denominators(N, q, p, depth):
+    # B_n*p_{n-1} + B_{n-1}*p_n = N**n * q on every prefix of the unreduced orbit
+    x = Fraction(p % q or 1, q)
+    steps = list(_steps(x, N, depth))
+    trace = convergent_sequence([a for a, _, _ in steps], N)
+    B = [conv.B for conv in trace.convergents]
+    for n, (_, p_n, p_prev) in enumerate(steps, start=1):
+        assert B[n] * p_prev + B[n - 1] * p_n == N**n * x.denominator
 
 
 class TestErrorSandwich:

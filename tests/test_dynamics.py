@@ -1,5 +1,6 @@
 """Exact map dynamics: frozen examples, domain errors, and algebraic properties."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from ncfrac import (
     gauss_map,
     orbit,
 )
+from ncfrac.dynamics import _steps
 
 # map index and a random rational in [0, 1)
 unit_fractions = st.tuples(
@@ -22,6 +24,23 @@ unit_fractions = st.tuples(
     st.integers(min_value=1, max_value=10**12),
     st.integers(min_value=0, max_value=10**12),
 ).map(lambda t: (t[0], Fraction(t[2] % t[1], t[1])))
+
+# the same with denominators up to 2**256, whose orbits run to a few hundred steps
+deep_fractions = st.tuples(
+    st.integers(min_value=1, max_value=10),
+    st.integers(min_value=1, max_value=2**256),
+    st.integers(min_value=0, max_value=2**256),
+).map(lambda t: (t[0], Fraction(t[2] % t[1], t[1])))
+
+
+def reference_walk(x, N, max_terms):
+    """(digit, image) pairs of the first max_terms steps, on reduced Fractions."""
+    out = []
+    while x != 0 and len(out) < max_terms:
+        a = math.floor(N / x)
+        x = N / x - a
+        out.append((a, x))
+    return out
 
 
 class TestGaussMap:
@@ -191,3 +210,17 @@ def test_prefix_approximation_improves(case):
     coeffs = expand(x, N).coeffs
     errors = [abs(x - evaluate(coeffs[:n], N)) for n in range(1, len(coeffs) + 1)]
     assert all(a > b for a, b in zip(errors, errors[1:]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(unit_fractions, deep_fractions), st.integers(min_value=0, max_value=400))
+def test_kernel_matches_reduced_reference(case, depth):
+    # depth cuts deep orbits part way and leaves short ones whole
+    N, x = case
+    reference = reference_walk(x, N, depth)
+    steps = list(_steps(x, N, depth))
+    assert [(a, Fraction(p, q)) for a, p, q in steps] == reference
+    exp = expand(x, N, depth)
+    assert exp.coeffs == tuple(a for a, _ in reference)
+    final = reference[-1][1] if reference else x
+    assert exp.terminated == (final == 0)

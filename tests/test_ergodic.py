@@ -22,6 +22,8 @@ from ncfrac import (
     lower_bounds,
     lyapunov_const,
     lyapunov_estimate,
+    orbit,
+    orbit_estimates,
     sample_orbit,
     sample_rational,
     shadow_divergence_step,
@@ -119,11 +121,23 @@ class TestBirkhoffEstimates:
         b = birkhoff_estimate(CFG, "log-digit")
         assert a == b
 
-    def test_process_pool_matches_serial(self):
-        cfg = SampleConfig(N=1, trials=8, denominator_bits=128, seed=4)
-        serial = birkhoff_estimate(cfg, "log-digit", threads=1)
-        parallel = birkhoff_estimate(cfg, "log-digit", threads=2)
-        assert serial == parallel
+    def test_one_pass_matches_single_observable_calls(self):
+        cfg = SampleConfig(N=2, trials=12, denominator_bits=256, max_terms=90, seed=4)
+        requests = [
+            ("log-digit", None), ("digit-indicator", None), ("digit-indicator", 3),
+            ("digit-power", -1.0), ("digit-power", 1.5), ("log-derivative", None),
+            ("denominator-growth", None),
+        ]
+        singles = [
+            birkhoff_estimate(cfg, "log-digit"),
+            birkhoff_estimate(cfg, "digit-indicator"),
+            birkhoff_estimate(cfg, "digit-indicator", M=3),
+            birkhoff_estimate(cfg, "digit-power", r=-1.0),
+            birkhoff_estimate(cfg, "digit-power", r=1.5),
+            lyapunov_estimate(cfg),
+            levy_estimate(cfg),
+        ]
+        assert orbit_estimates(cfg, requests) == singles
 
 
 class TestDivergentObservable:
@@ -159,6 +173,16 @@ class TestLyapunovAndLevy:
         report = lyapunov_estimate(CFG)
         assert report.target == lyapunov_const(1)
         assert report.rel_deviation < 0.025
+
+    def test_lyapunov_equals_per_step_sum(self):
+        # the estimator telescopes sum log(N / x_k^2); check it against the
+        # step-by-step sum over reduced orbit points, whole and truncated
+        for N, max_terms in ((1, 10_000), (3, 10_000), (2, 40)):
+            cfg = SampleConfig(N=N, trials=1, denominator_bits=256, max_terms=max_terms, seed=6)
+            points = list(orbit(sample_rational(cfg, 0), N))[:-1][:max_terms]
+            direct = sum(math.log(N) - 2 * (math.log(x.numerator) - math.log(x.denominator))
+                         for x in points) / len(points)
+            assert lyapunov_estimate(cfg).value == pytest.approx(direct, rel=1e-13)
 
     def test_levy_estimate(self):
         report = levy_estimate(CFG3)
