@@ -7,116 +7,14 @@ orbit averages, and a grid discretization of the transfer operator.
 
 __version__ = "0.1.0"
 
-from .constants import (
-    ConstantsReport,
-    cdf,
-    density,
-    dilog_theta,
-    frequency,
-    holder_mean,
-    khinchin,
-    lambda_asymptotic,
-    levy_L,
-    levy_lambda,
-    loch,
-    lower_bounds,
-    lyapunov_const,
-)
-from .convergents import (
-    Convergent,
-    ConvergentTrace,
-    approximation_rate,
-    convergent_sequence,
-    determinant_check,
-    error_bounds_check,
-)
-from .dynamics import (
-    DEFAULT_MAX_TERMS,
-    Expansion,
-    digit,
-    evaluate,
-    expand,
-    fixed_point,
-    gauss_map,
-    orbit,
-)
-from .ergodic import (
-    OBSERVABLES,
-    EstimateReport,
-    SampleConfig,
-    birkhoff_estimate,
-    bound_achievement,
-    float_shadow_digits,
-    levy_estimate,
-    lyapunov_estimate,
-    orbit_estimates,
-    sample_orbit,
-    sample_rational,
-    shadow_divergence_step,
-)
-from .ulam import (
-    PowerIterationError,
-    UlamModel,
-    build_model,
-    density_l1_error,
-    density_profile,
-    stationary,
-    transition_matrix,
-    write_density_profile,
-)
+from . import constants, convergents, dynamics, ergodic, ulam
+from .constants import *  # noqa: F401,F403
+from .convergents import *  # noqa: F401,F403
+from .dynamics import *  # noqa: F401,F403
+from .ergodic import *  # noqa: F401,F403
+from .ulam import *  # noqa: F401,F403
 
 __all__ = [
     "__version__",
-    # dynamics
-    "DEFAULT_MAX_TERMS",
-    "Expansion",
-    "digit",
-    "evaluate",
-    "expand",
-    "fixed_point",
-    "gauss_map",
-    "orbit",
-    # convergents
-    "Convergent",
-    "ConvergentTrace",
-    "approximation_rate",
-    "convergent_sequence",
-    "determinant_check",
-    "error_bounds_check",
-    # constants
-    "ConstantsReport",
-    "cdf",
-    "density",
-    "dilog_theta",
-    "frequency",
-    "holder_mean",
-    "khinchin",
-    "lambda_asymptotic",
-    "levy_L",
-    "levy_lambda",
-    "loch",
-    "lower_bounds",
-    "lyapunov_const",
-    # ergodic
-    "OBSERVABLES",
-    "EstimateReport",
-    "SampleConfig",
-    "birkhoff_estimate",
-    "bound_achievement",
-    "float_shadow_digits",
-    "levy_estimate",
-    "lyapunov_estimate",
-    "orbit_estimates",
-    "sample_orbit",
-    "sample_rational",
-    "shadow_divergence_step",
-    # ulam
-    "PowerIterationError",
-    "UlamModel",
-    "build_model",
-    "density_l1_error",
-    "density_profile",
-    "stationary",
-    "transition_matrix",
-    "write_density_profile",
+    *(name for module in (dynamics, convergents, constants, ergodic, ulam) for name in module.__all__),
 ]

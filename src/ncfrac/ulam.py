@@ -11,12 +11,12 @@ histogram approximation of the invariant density, recovered here without
 ever using the closed form, so it cross-checks the analytic density
 independently.
 
-Branches are summed up to `branch_cutoff`.  Every branch with k > N*m lies
-entirely inside the first cell, so only row 0 is affected by truncation;
-those interior branches are accumulated in closed form via digamma
-differences (sum of N/(k+t) over a k-range telescopes to digamma values),
-and the residual mass beyond the cutoff is folded into each row
-proportionally by the final row normalization.
+Every branch is included; nothing is truncated.  With K_i = floor(N/t_i) at
+row edge t_i = i/m (K_0 = infinity), row i meets only branches
+K_{i+1} <= k <= K_i.  The two boundary branches are clipped to the cell; the
+branches strictly between lie inside it, and their sum over k telescopes to
+a difference of digamma steps psi(a + c + 1/m) - psi(a + c), evaluated
+without cancellation by :func:`_psi_tail`.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from dataclasses import dataclass
 from typing import IO, Union
 
 import numpy as np
-from scipy.special import digamma
 
-from .constants import density
 from .dynamics import check_index
 
 __all__ = [
@@ -44,6 +42,11 @@ __all__ = [
 ]
 
 MAX_CELLS = 2048  # dense matrices only; finer grids are out of scope
+_BLOCK = 8  # rows assembled together: 130 KB per temporary at MAX_CELLS, in cache
+
+# psi(x) ~ log x - 1/(2x) - sum_k B_2k/(2k x^2k): coefficients of x^-2 .. x^-8
+_PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240)
+_PSI_SERIES_FROM = 32  # the omitted x^-10 term is below 1e-17 from here on
 
 
 class PowerIterationError(RuntimeError):
@@ -63,7 +66,6 @@ class UlamModel:
 
     N: int
     m: int
-    branch_cutoff: int
     matrix: np.ndarray
     stationary: np.ndarray
     l1_error: float
@@ -73,54 +75,68 @@ class UlamModel:
         return {
             "N": self.N,
             "m": self.m,
-            "branch_cutoff": self.branch_cutoff,
             "l1_error": self.l1_error,
             "iterations": self.iterations,
         }
 
 
-def _default_cutoff(N: int, m: int) -> int:
-    return max(10 * N * m, 100_000)
+def _psi_tail(a: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
+    """sum_{k>=a} (1/(k+x0) - 1/(k+x0+h)) = psi(a+x0+h) - psi(a+x0).
+
+    ``a`` is a column of integer values, ``x0`` a row of offsets in [0, 1).  Terms
+    below _PSI_SERIES_FROM are added explicitly; from there the asymptotic
+    series is differenced term by term, so no two digamma values cancel.
+    """
+    x = np.maximum(a, _PSI_SERIES_FROM) + x0
+    y = x + h
+    total = np.log1p(h / x) + h / (2 * x * y)
+    for power, coeff in enumerate(_PSI_SERIES, start=1):
+        total -= coeff * (y ** (-2 * power) - x ** (-2 * power))
+    for k in range(int(a.min()), _PSI_SERIES_FROM):
+        z = k + x0
+        total += np.where(k >= a, h / (z * (z + h)), 0.0)
+    return total
 
 
-def transition_matrix(N: int, m: int, branch_cutoff: int | None = None) -> np.ndarray:
+def _clipped(N: int, k: np.ndarray, c: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Length of each row's cell inside branch k's preimage of each column."""
+    u = N / (k + c)  # decreasing; column j's preimage is (u[j+1], u[j]]
+    hi = np.minimum(u[:, :-1], c[rows + 1, None])
+    return np.maximum(0.0, hi - np.maximum(u[:, 1:], c[rows, None]))
+
+
+def _row_blocks(rows: np.ndarray):
+    return (rows[s : s + _BLOCK] for s in range(0, len(rows), _BLOCK))
+
+
+def _cell_masses(N: int, m: int) -> np.ndarray:
+    """Exact all-branch cell-transition matrix before row normalisation."""
+    c = np.arange(m + 1, dtype=np.float64) / m  # row and column edges alike
+    # K_i = floor(N/t_i) in exact integers; K_0 is infinite, and standing in
+    # K_1 for it leaves row 0 without an upper boundary branch
+    K = np.array([N * m // i for i in (1, *range(1, m + 1))], dtype=np.float64)
+    P = np.empty((m, m))
+    for rows in _row_blocks(np.arange(m)):
+        P[rows] = _clipped(N, K[rows + 1, None], c, rows)
+    for rows in _row_blocks(np.flatnonzero(K[:-1] > K[1:])):
+        P[rows] += _clipped(N, K[rows, None], c, rows)
+
+    x0, h = c[:-1], 1.0 / m
+    P[0] += N * _psi_tail(K[1:2, None] + 1, x0, h)[0]
+    for rows in _row_blocks(np.flatnonzero(K[:-1] - K[1:] >= 2)):
+        P[rows] += N * (_psi_tail(K[rows + 1, None] + 1, x0, h) - _psi_tail(K[rows, None], x0, h))
+    P *= m
+    return P
+
+
+def transition_matrix(N: int, m: int) -> np.ndarray:
     """Row-stochastic m-by-m cell-transition matrix of the index-N map."""
     check_index(N)
     if m < 16:
         raise ValueError(f"need at least 16 cells, got {m}")
     if m > MAX_CELLS:
         raise ValueError(f"dense grids beyond {MAX_CELLS} cells are not supported, got {m}")
-    if branch_cutoff is None:
-        branch_cutoff = _default_cutoff(N, m)
-    if branch_cutoff < N * m:
-        raise ValueError(
-            f"branch_cutoff must be >= N*m = {N * m} so every straddling branch is explicit"
-        )
-
-    edges = np.arange(m + 1, dtype=np.float64) / m
-    cols = np.arange(m)
-    P = np.zeros((m, m))
-
-    # branches that can straddle a cell boundary, handled interval by interval
-    for k in range(N, N * m + 1):
-        u = N / (k + edges)  # decreasing; column j's preimage is (u[j+1], u[j]]
-        hi, lo = u[:-1], u[1:]
-        i_hi = np.minimum((hi * m).astype(np.int64), m - 1)
-        i_lo = np.minimum((lo * m).astype(np.int64), m - 1)
-        same = i_lo == i_hi
-        np.add.at(P, (i_lo[same], cols[same]), (hi - lo)[same])
-        split = ~same
-        if split.any():
-            cut = i_hi[split] / m  # interval width <= 1/m, so one boundary at most
-            np.add.at(P, (i_lo[split], cols[split]), cut - lo[split])
-            np.add.at(P, (i_hi[split], cols[split]), hi[split] - cut)
-
-    # branches fully inside cell 0: closed-form sum over k in [N*m+1, cutoff]
-    first = N * m + 1
-    if branch_cutoff >= first:
-        s = N * (digamma(branch_cutoff + 1 + edges) - digamma(first + edges))
-        P[0] += s[:-1] - s[1:]
-
+    P = _cell_masses(N, m)
     P /= P.sum(axis=1, keepdims=True)
     return P
 
@@ -159,30 +175,32 @@ def _power_iteration(P: np.ndarray, tol: float, max_iters: int) -> tuple[np.ndar
     raise PowerIterationError(max_iters, step)
 
 
+def _midpoint_density(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cell midpoints and the invariant density 1/((N + x) log(1 + 1/N)) there."""
+    check_index(N)
+    mids = (np.arange(m) + 0.5) / m
+    return mids, 1.0 / ((N + mids) * math.log1p(1.0 / N))
+
+
 def density_l1_error(N: int, m: int, pi: np.ndarray) -> float:
     """L1 distance between the cell histogram (pi * m) and the analytic density
     sampled at cell midpoints."""
-    mids = (np.arange(m) + 0.5) / m
-    analytic = np.array([density(N, x) for x in mids])
+    _, analytic = _midpoint_density(N, m)
     return float(np.abs(pi * m - analytic).sum() / m)
 
 
 def build_model(
     N: int,
     m: int,
-    branch_cutoff: int | None = None,
     tol: float = 1e-13,
     max_iters: int = 100_000,
 ) -> UlamModel:
     """Assemble the matrix, solve for its stationary vector, score the recovery."""
-    if branch_cutoff is None:
-        branch_cutoff = _default_cutoff(N, m)
-    P = transition_matrix(N, m, branch_cutoff)
+    P = transition_matrix(N, m)
     pi, iterations = _power_iteration(P, tol, max_iters)
     return UlamModel(
         N=N,
         m=m,
-        branch_cutoff=branch_cutoff,
         matrix=P,
         stationary=pi,
         l1_error=density_l1_error(N, m, pi),
@@ -192,8 +210,7 @@ def build_model(
 
 def density_profile(model: UlamModel) -> np.ndarray:
     """Columns (cell midpoint, recovered density, analytic density), one row per cell."""
-    mids = (np.arange(model.m) + 0.5) / model.m
-    analytic = np.array([density(model.N, x) for x in mids])
+    mids, analytic = _midpoint_density(model.N, model.m)
     return np.column_stack([mids, model.stationary * model.m, analytic])
 
 

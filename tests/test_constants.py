@@ -6,8 +6,9 @@ are frozen below.  Anchors shared with the classical N = 1 theory (geometric
 and harmonic digit means, Lévy exponent, Loch-type constant) agree with the
 published classical digits.  Live oracles used here: adaptive quadrature for
 the density normalization and the dilogarithm, scipy's Spence function for
-the dilogarithm, and raw partial sums with two-sided tail bounds for the
-digit means.
+the dilogarithm, raw partial sums with two-sided tail bounds for the
+digit means, and (when installed) 30-digit mpmath sums that check the
+reported tail bounds.
 """
 
 import math
@@ -321,3 +322,45 @@ class TestConstantsReport:
             "lower_bound_lyapunov", "lower_bound_denominator",
         ):
             assert key in record
+
+
+def _mpmath_digit_mean(mpmath, N, r):
+    """E[w(digit)] at 30 digits, w = log k (r None) or k**r: direct sum to
+    K0 = 1000, then the convergent expansion
+    log(1 + 1/(k(k+2))) = sum_n (-1)**(n+1) (2 - 2**n)/n k**-n summed with
+    Hurwitz zeta values (its s-derivative for the log weight) to 1e-40."""
+    mpf, K0 = mpmath.mpf, 1000
+    weight = mpmath.log if r is None else (lambda k: mpf(k) ** r)
+    head = mpmath.fsum(weight(k) * mpmath.log1p(mpf(1) / (k * (k + 2))) for k in range(N, K0 + 1))
+    tail, n = mpf(0), 2
+    while True:
+        z = -mpmath.zeta(n, K0 + 1, 1) if r is None else mpmath.zeta(n - mpf(r), K0 + 1)
+        term = (-1) ** (n + 1) * (2 - mpf(2) ** n) / n * z
+        tail += term
+        if abs(term) < mpf(10) ** -40:
+            return (head + tail) / mpmath.log1p(mpf(1) / N)
+        n += 1
+
+
+ROUNDING_SLACK = 8 * np.finfo(float).eps  # relative, for summation and final powers
+
+
+class TestMpmathOracle:
+    @pytest.mark.parametrize("N", [1, 2, 3, 10, 100])
+    def test_tail_bounds_cover_true_error(self, N):
+        mpmath = pytest.importorskip("mpmath")
+        rs = (-1.0, 0.5, 0.9)
+        record = ConstantsReport.compute(N, rs=rs).to_record()
+        with mpmath.workdps(30):
+            exact = _mpmath_digit_mean(mpmath, N, None)
+            error = abs(mpmath.log(khinchin(N)) - exact)
+            assert error <= record["khinchin_tail_bound"] + ROUNDING_SLACK * abs(exact)
+            for r in rs:
+                exact = _mpmath_digit_mean(mpmath, N, r)
+                error = abs(mpmath.mpf(holder_mean(N, r)) ** r - exact)
+                assert error <= record[f"holder[r={r:g}]_tail_bound"] + ROUNDING_SLACK * exact
+            # the dilogarithm series stops below a 1e-15 term (its documented bound)
+            scale = mpmath.log1p(mpmath.mpf(1) / N)
+            exact = -mpmath.polylog(2, -mpmath.mpf(1) / N) / scale
+            error = abs(levy_lambda(N) - exact)
+            assert error <= 1e-15 / scale + ROUNDING_SLACK * exact

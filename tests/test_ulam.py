@@ -15,6 +15,39 @@ from ncfrac import (
     transition_matrix,
     write_density_profile,
 )
+from ncfrac.ulam import _cell_masses
+
+
+def _branch_reference(N, m):
+    """Clip every branch k = N..N*m against every cell; exact on rows 1..m-1,
+    which no larger branch reaches."""
+    edges = np.arange(m + 1) / m
+    P = np.zeros((m, m))
+    for k in range(N, N * m + 1):
+        u = N / (k + edges)  # column j's preimage is (u[j+1], u[j]]
+        P += np.maximum(
+            0.0,
+            np.minimum(u[None, :-1], edges[1:, None]) - np.maximum(u[None, 1:], edges[:-1, None]),
+        )
+    return P * m
+
+
+def _mpmath_matrix(N, m):
+    """m times the second difference on the grid of
+    F(c, t) = |{x < t : {N/x} < c}| = N(psi(K+1+c) - psi(K+1)) + max(0, t - N/(K+c)),
+    K = floor(N/t), at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(j) / m for j in range(m + 1)]
+        F = [[mpmath.mpf(0)] * (m + 1)]
+        for i in range(1, m + 1):
+            t, K = mpmath.mpf(i) / m, N * m // i
+            base = mpmath.digamma(K + 1)
+            F.append([N * (mpmath.digamma(K + 1 + cj) - base) + max(0, t - N / (K + cj)) for cj in c])
+        return np.array(
+            [[float(m * (F[i + 1][j + 1] - F[i + 1][j] - F[i][j + 1] + F[i][j])) for j in range(m)]
+             for i in range(m)]
+        )
 
 
 class TestMatrixAssembly:
@@ -24,26 +57,28 @@ class TestMatrixAssembly:
             assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
             assert P.min() >= 0.0
 
-    def test_minimum_cutoff_accepted(self):
-        P = transition_matrix(2, 32, branch_cutoff=64)
+    @pytest.mark.parametrize("N, m", [(1, 17), (10, 2048), (1000, 512), (10**30, 64)])
+    def test_every_branch_is_counted(self, N, m):
+        # row sums before the final normalisation: no mass is folded in
+        P = _cell_masses(N, m)
+        assert P.min() >= 0.0
         assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
 
-    def test_cutoff_below_straddling_range_rejected(self):
-        with pytest.raises(ValueError):
-            transition_matrix(2, 32, branch_cutoff=63)
+    @pytest.mark.parametrize("N, m", [(1, 64), (3, 64), (10, 32), (2, 17)])
+    def test_matches_finite_branch_reference(self, N, m):
+        P = transition_matrix(N, m)
+        assert np.abs(P - _branch_reference(N, m))[1:].max() < 1e-13
+
+    @pytest.mark.parametrize("N, m", [(1, 64), (2, 64), (7, 32), (40, 16)])
+    def test_matches_mpmath_operator(self, N, m):
+        exact = _mpmath_matrix(N, m)
+        assert np.abs(transition_matrix(N, m) - exact).max() < 1e-13
 
     def test_grid_size_limits(self):
         with pytest.raises(ValueError):
             transition_matrix(1, 8)
         with pytest.raises(ValueError):
             transition_matrix(1, 4096)
-
-    def test_larger_cutoff_changes_little(self):
-        # the tail fold-in is a small correction confined to row 0
-        base = transition_matrix(1, 32, branch_cutoff=32 * 10)
-        fine = transition_matrix(1, 32, branch_cutoff=32 * 10000)
-        assert np.abs(base - fine)[1:].max() < 1e-13
-        assert np.abs(base[0] - fine[0]).max() < 5e-3
 
 
 class TestStationary:
@@ -97,7 +132,7 @@ class TestDensityRecovery:
 class TestSerialization:
     def test_summary_keys(self):
         summary = build_model(1, 32).summary()
-        assert set(summary) == {"N", "m", "branch_cutoff", "l1_error", "iterations"}
+        assert set(summary) == {"N", "m", "l1_error", "iterations"}
 
     def test_profile_columns(self):
         model = build_model(1, 32)
@@ -106,7 +141,7 @@ class TestSerialization:
         mids, empirical, analytic = profile.T
         assert mids[0] == pytest.approx(1 / 64)
         assert empirical.sum() / 32 == pytest.approx(1.0, abs=1e-12)
-        assert analytic[0] == pytest.approx(density(1, mids[0]))
+        assert analytic.tolist() == [density(1, x) for x in mids]  # bit-identical
 
     def test_csv_writer(self):
         model = build_model(1, 32)
