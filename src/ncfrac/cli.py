@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         results, config, code = args.func(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

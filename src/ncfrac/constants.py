@@ -7,10 +7,12 @@ Series evaluation
 The digit sums all decay polynomially (like log(k)/k**2 or k**(r-2)), so they
 are summed directly up to a cutoff K and the remainder is evaluated through
 the 1/k expansion of log(1 + 1/(k*(k+2))), whose term-by-term sums are
-Hurwitz zeta values.  The first omitted expansion order gives a conservative
-truncation bound, which is what the ``tol`` arguments control and what the
-report diagnostics carry.  The geometric-mean sum is first rewritten by
-summation by parts to drop its log(k) factor:
+Hurwitz zeta values.  Those come from a local Euler-Maclaurin evaluation
+(``_hurwitz_zeta``), so the package needs numpy but not scipy.  The first
+omitted expansion order gives a conservative truncation bound, which is what
+the ``tol`` arguments control and what the report diagnostics carry.  The
+geometric-mean sum is first rewritten by summation by parts to drop its
+log(k) factor:
 
     sum_{k>=N} log(k) * log(1 + 1/(k*(k+2)))
         = log(N)*log(1+1/N) + sum_{k>N} log(1+1/(k-1)) * log(1+1/k),
@@ -18,17 +20,19 @@ summation by parts to drop its log(k) factor:
 whose summand is even in 1/k, so its tail expansion has only even orders.
 
 Everything here is double precision; all advertised tolerances are >= 1e-12
-and the tail bounds dominate rounding.
+and the tail bounds dominate rounding.  A power mean whose smallest digit
+weight N**r is below the smallest normal double is rejected, since its
+weights underflow.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .dynamics import check_index
 
@@ -55,6 +59,19 @@ _GEOMEAN_TAIL_NEXT = 0.25  # safely above the next coefficient c_12 ~ 0.123
 # 1/k expansion of log(1 + 1/(k*(k+2))), orders k**-2 .. k**-8
 _LOG1P_BRANCH_TAIL = ((2, 1.0), (3, -2.0), (4, 3.5), (5, -6.0), (6, 31 / 3), (7, -18.0), (8, 127 / 4))
 _LOG1P_BRANCH_NEXT = 60.0  # > |c_9| = 56.7
+
+# Euler-Maclaurin corrections B_2j/(2j)! for j = 6..1, nested from the inside
+# out; each is paired with 2j - 1 because the order j + 1 correction carries
+# the extra factor (s + 2j - 1)(s + 2j)/a**2.  _EM_LAST (j = 7) seeds the nesting
+_EM_STEPS = (
+    (-691 / 1307674368000, 11.0),
+    (1 / 47900160, 9.0),
+    (-1 / 1209600, 7.0),
+    (1 / 30240, 5.0),
+    (-1 / 720, 3.0),
+    (1 / 12, 1.0),
+)
+_EM_LAST = 1 / 74724249600
 
 
 def density(N: int, x: float) -> float:
@@ -90,8 +107,37 @@ def frequency(N: int, M: int) -> float:
     return math.log1p(1.0 / (M * (M + 2))) / math.log1p(1.0 / N)
 
 
+def _hurwitz_zeta(s: float, a: float) -> float:
+    """Hurwitz zeta(s, a) = sum_{k>=0} (a + k)**-s for s > 1, a > 0.
+
+    Euler-Maclaurin at the start point with seven Bernoulli corrections:
+
+        a**(1-s)/(s-1) + a**-s/2 + sum_j B_2j/(2j)! * (s)_(2j-1) * a**(-s-2j+1).
+
+    For a >= 2*s + 28 the first omitted correction is below
+    |B_16/16!| * 2**-15 * a**-s, which is under 2**-57 * zeta(s, a) because
+    zeta(s, a) > a**(1-s)/(s-1) + a**-s/2 > 2.5 * a**-s there.  Only where a
+    is smaller are terms (a + k)**-s summed directly, until it is not.
+    Returns 0.0 once a**-s underflows there, where the value itself is
+    below twice the smallest subnormal.
+    """
+    a = float(a)
+    head = 0.0
+    if a < 2.0 * s + 28.0:
+        if a**-s == 0.0:
+            return 0.0
+        m = math.ceil(2.0 * s + 28.0 - a)
+        head = math.fsum([(a + k) ** -s for k in range(m)])
+        a += m
+    w = 1.0 / (a * a)
+    h = _EM_LAST
+    for c, k in _EM_STEPS:
+        h = c + (s + k) * (s + k + 1.0) * w * h
+    return head + a ** (1.0 - s) * (1.0 / (s - 1.0) + (0.5 + s * h / a) / a)
+
+
 def _zeta_comb(coeffs, start: float, shift: float = 0.0) -> float:
-    return float(sum(c * _hurwitz_zeta(s - shift, start) for s, c in coeffs))
+    return sum(c * _hurwitz_zeta(s - shift, start) for s, c in coeffs)
 
 
 def _check_tol(tol: float) -> None:
@@ -103,12 +149,14 @@ def _geometric_mean_series(N: int, tol: float) -> tuple[float, int, float]:
     """log of the digit geometric mean; returns (value, terms used, tail bound)."""
     scale = math.log1p(1.0 / N)
     K = max(N + 32, 64)
-    while _GEOMEAN_TAIL_NEXT * _hurwitz_zeta(12, K + 1) > tol * scale and K < 1 << 24:
+    zeta_next = _hurwitz_zeta(12, K + 1)
+    while _GEOMEAN_TAIL_NEXT * zeta_next > tol * scale and K < 1 << 24:
         K *= 2
+        zeta_next = _hurwitz_zeta(12, K + 1)
     k = np.arange(N + 1, K + 1, dtype=np.float64)
     partial = math.log(N) * scale + float(np.sum(np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k)))
     tail = _zeta_comb(_GEOMEAN_TAIL, K + 1)
-    bound = _GEOMEAN_TAIL_NEXT * _hurwitz_zeta(12, K + 1) / scale
+    bound = _GEOMEAN_TAIL_NEXT * zeta_next / scale
     return (partial + tail) / scale, K - N, bound
 
 
@@ -128,14 +176,18 @@ def _holder_series(N: int, r: float, tol: float) -> tuple[float, int, float]:
     """Mean of digit**r under the invariant measure; (value, terms, tail bound)."""
     if not math.isfinite(r):
         raise ValueError(f"order r must be a finite number or >= 1, got {r}")
+    if float(N) ** r < sys.float_info.min:
+        raise ValueError(f"order r = {r} is too negative for N = {N}: N**r underflows")
     scale = math.log1p(1.0 / N)
     K = max(N, 128)
-    while _LOG1P_BRANCH_NEXT * _hurwitz_zeta(9 - r, K + 1) > tol * scale and K < 1 << 24:
+    zeta_next = _hurwitz_zeta(9 - r, K + 1)
+    while _LOG1P_BRANCH_NEXT * zeta_next > tol * scale and K < 1 << 24:
         K *= 2
+        zeta_next = _hurwitz_zeta(9 - r, K + 1)
     k = np.arange(N, K + 1, dtype=np.float64)
     partial = float(np.sum(k**r * np.log1p(1.0 / (k * (k + 2.0)))))
     tail = _zeta_comb(_LOG1P_BRANCH_TAIL, K + 1, shift=r)
-    bound = _LOG1P_BRANCH_NEXT * _hurwitz_zeta(9 - r, K + 1) / scale
+    bound = _LOG1P_BRANCH_NEXT * zeta_next / scale
     return (partial + tail) / scale, K - N + 1, bound
 
 

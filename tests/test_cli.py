@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from ncfrac import ConstantsReport
 from ncfrac.cli import main
 
 
@@ -112,6 +113,39 @@ class TestConstants:
         assert code == 0
         (record,) = json.loads(out)["results"]
         assert record["holder_mean[r=inf]"] == "divergent"
+
+    def test_plain_output_prints_plain_numbers(self, capsys):
+        code, out, _ = run_cli(capsys, "constants", "--n", "2")
+        assert code == 0 and "np.float64(" not in out
+        record = ConstantsReport.compute(2, rs=(-1.0, 0.5, 1.0)).to_record()
+        assert {type(value) for value in record.values()} == {int, float, str}
+
+    def test_underflowing_order_exits_2(self, capsys):
+        # 3000**-100 underflows, so every digit weight k**r is zero
+        code, out, err = run_cli(capsys, "constants", "--n", "3000", "--r=-100")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestIndexBeyondFloatRange:
+    BIG = str(10**400)
+
+    @pytest.mark.parametrize("argv", [
+        ("constants",),
+        ("verify", "ulam", "--cells", "64"),
+        ("verify", "bounds"),
+        ("verify", "birkhoff", "--trials", "2"),
+    ])
+    def test_exits_2_without_traceback(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--n", self.BIG)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_exact_expansion_still_works(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "1/3", "--n", self.BIG)
+        assert code == 0
+        assert f"digits: {3 * 10**400}" in out
 
 
 class TestVerify:

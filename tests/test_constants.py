@@ -8,17 +8,22 @@ published classical digits.  Live oracles used here: adaptive quadrature for
 the density normalization and the dilogarithm, scipy's Spence function for
 the dilogarithm, raw partial sums with two-sided tail bounds for the
 digit means, and (when installed) 30-digit mpmath sums that check the
-reported tail bounds.
+reported tail bounds, plus mpmath's Hurwitz zeta for the local one.
 """
 
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.special import spence
 
+import ncfrac
 from ncfrac import (
     ConstantsReport,
     cdf,
@@ -34,6 +39,7 @@ from ncfrac import (
     lower_bounds,
     lyapunov_const,
 )
+from ncfrac.constants import _hurwitz_zeta
 
 # frozen 30-digit references (see module docstring)
 K_GEOMETRIC = {
@@ -210,6 +216,16 @@ class TestHolderMean:
         assert holder_mean(100, -1.0) / 100 == pytest.approx(2.0, rel=0.01)
         assert holder_mean(100, 0.5) / 100 == pytest.approx(4.0, rel=0.02)
 
+    def test_underflowing_weights_rejected(self):
+        # N**r below the smallest normal double: every k**r underflows
+        for N, r in ((200, -1000.0), (3000, -100.0)):
+            with pytest.raises(ValueError):
+                holder_mean(N, r)
+            with pytest.raises(ValueError):
+                ConstantsReport.compute(N, rs=(r,))
+        # 1000**-100 is still normal; reference from a 50-digit direct sum
+        assert holder_mean(1000, -100.0) == pytest.approx(1046.723884297902406, rel=4e-16)
+
 
 class TestDilog:
     def test_endpoint_values(self):
@@ -364,3 +380,45 @@ class TestMpmathOracle:
             exact = -mpmath.polylog(2, -mpmath.mpf(1) / N) / scale
             error = abs(levy_lambda(N) - exact)
             assert error <= 1e-15 / scale + ROUNDING_SLACK * exact
+
+
+class TestHurwitzZeta:
+    """The local Hurwitz zeta over the (s, a) pairs the digit-mean series use:
+    s = 2..12 (geometric mean) and 2..9 - r (power means), a = K + 1 for the
+    doubling cutoffs K >= 64 and the index-driven cutoffs K = N, N + 32."""
+
+    ORDERS = (-1.0, -0.5, 0.5, 0.9, -160.0, -90.0, -50.0, -1e-9, 0.999999)
+    STARTS = [2**e + 1 for e in range(6, 25)] + [
+        N + d for N in (100, 1000, 3000, 10**6) for d in (1, 33)
+    ]
+
+    def test_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        ss = [float(s) for s in range(2, 13)] + [s - r for r in self.ORDERS for s in range(2, 10)]
+        for s in ss:
+            for a in self.STARTS:
+                got = _hurwitz_zeta(s, a)
+                assert type(got) is float
+                digits = s * math.log10(a)  # zeta(s, a) < 10**-digits * (1 + a/(s-1))
+                if digits > 340:
+                    assert got == 0.0, (s, a)
+                    continue
+                # mpmath loses relative accuracy on tiny values unless the
+                # working precision also covers their exponent
+                with mpmath.workdps(30 + math.ceil(digits)):
+                    exact = mpmath.zeta(s, a)
+                    assert abs(mpmath.mpf(got) - exact) <= 4 * math.ulp(float(exact)), (s, a)
+
+    def test_underflow_returns_zero(self):
+        # the power-mean orders s = 2..9 - r at r = -1000
+        for s in range(2, 10):
+            for a in self.STARTS:
+                assert _hurwitz_zeta(s + 1000.0, a) == 0.0
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(ncfrac.__file__).resolve().parents[1])
+    probe = "import ncfrac.cli, sys; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
