@@ -19,6 +19,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from typing import Optional
 
 from . import __version__, constants, ergodic, ulam
 from .convergents import convergent_sequence
@@ -71,9 +72,10 @@ def _parse_r_values(text: str) -> list[float]:
     return [float(chunk) for chunk in text.split(",")]
 
 
-def _fraction_log10(value: Fraction) -> float:
+def _fraction_log10(value: Fraction) -> Optional[float]:
+    """log10 of a non-negative fraction; None (JSON null) for an exact zero."""
     if value == 0:
-        return -math.inf
+        return None
     return (math.log(value.numerator) - math.log(value.denominator)) / math.log(10)
 
 
@@ -118,14 +120,19 @@ def _cmd_constants(args) -> tuple[list[dict], dict, int]:
     return results, config, 0
 
 
+def _row(suite: str, n: int, quantity: str, value, target, tolerance: float, deviation,
+         passed: bool, **extras) -> dict:
+    """One verify row: the eight keys every suite reports, then its own extras."""
+    return {"suite": suite, "N": n, "quantity": quantity, "value": value, "target": target,
+            "tolerance": tolerance, "deviation": deviation, "pass": passed, **extras}
+
+
 def _check(suite: str, n: int, report: ergodic.EstimateReport, tolerance: float,
            absolute: bool = False) -> dict:
     deviation = report.abs_deviation if absolute else report.rel_deviation
-    row = {"suite": suite, "N": n, "tolerance": tolerance}
-    row.update(report.to_record())
-    row["deviation"] = deviation
-    row["pass"] = bool(math.isfinite(deviation) and deviation <= tolerance)
-    return row
+    return _row(suite, n, tolerance=tolerance, deviation=deviation,
+                passed=bool(math.isfinite(deviation) and deviation <= tolerance),
+                **report.to_record())
 
 
 def _suite_birkhoff(ns, args) -> list[dict]:
@@ -149,18 +156,11 @@ def _suite_levy(ns, args) -> list[dict]:
     rows = []
     for n in ns:
         report = ergodic.levy_estimate(_sample_config(n, args))
+        rate, bound = report.extras["min_rate"], report.extras["denominator_bound"]
         rows.append(_check("levy", n, report, TOLERANCES["levy"]))
-        floor_row = {
-            "suite": "levy",
-            "N": n,
-            "quantity": "denominator-growth[floor]",
-            "value": report.extras["min_rate"],
-            "target": report.extras["denominator_bound"],
-            "tolerance": TOLERANCES["levy-floor"],
-            "deviation": max(0.0, report.extras["denominator_bound"] - report.extras["min_rate"]),
-            "pass": report.extras["min_rate"] >= report.extras["denominator_bound"] - TOLERANCES["levy-floor"],
-        }
-        rows.append(floor_row)
+        rows.append(_row("levy", n, "denominator-growth[floor]", rate, bound,
+                         TOLERANCES["levy-floor"], max(0.0, bound - rate),
+                         rate >= bound - TOLERANCES["levy-floor"]))
     return rows
 
 
@@ -178,18 +178,9 @@ def _suite_bounds(ns, args) -> list[dict]:
     for n in ns:
         lyap_bound, denom_bound = constants.lower_bounds(n)
         identity_gap = abs(2.0 * denom_bound - math.log(n) - lyap_bound)
-        rows.append(
-            {
-                "suite": "bounds",
-                "N": n,
-                "quantity": "bound-identity",
-                "value": identity_gap,
-                "target": 0.0,
-                "tolerance": TOLERANCES["bounds-identity"],
-                "deviation": identity_gap,
-                "pass": identity_gap <= TOLERANCES["bounds-identity"],
-            }
-        )
+        rows.append(_row("bounds", n, "bound-identity", identity_gap, 0.0,
+                         TOLERANCES["bounds-identity"], identity_gap,
+                         identity_gap <= TOLERANCES["bounds-identity"]))
         for report in ergodic.bound_achievement(n, depth=200):
             rows.append(_check("bounds", n, report, TOLERANCES["bounds"], absolute=True))
     return rows
@@ -199,19 +190,9 @@ def _suite_ulam(ns, args) -> list[dict]:
     rows = []
     for n in ns:
         model = ulam.build_model(n, args.cells)
-        rows.append(
-            {
-                "suite": "ulam",
-                "N": n,
-                "quantity": f"density-l1[m={args.cells}]",
-                "value": model.l1_error,
-                "target": 0.0,
-                "tolerance": TOLERANCES["ulam"],
-                "deviation": model.l1_error,
-                "iterations": model.iterations,
-                "pass": model.l1_error < TOLERANCES["ulam"],
-            }
-        )
+        rows.append(_row("ulam", n, f"density-l1[m={args.cells}]", model.l1_error, 0.0,
+                         TOLERANCES["ulam"], model.l1_error, model.l1_error < TOLERANCES["ulam"],
+                         iterations=model.iterations))
     return rows
 
 
@@ -264,6 +245,8 @@ def _render_json(command: str, config: dict, results: list[dict]) -> str:
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):

@@ -20,9 +20,9 @@ log(k) factor:
 whose summand is even in 1/k, so its tail expansion has only even orders.
 
 Everything here is double precision; all advertised tolerances are >= 1e-12
-and the tail bounds dominate rounding.  A power mean whose smallest digit
-weight N**r is below the smallest normal double is rejected, since its
-weights underflow.
+and the tail bounds dominate rounding.  A power mean whose undivided series,
+about N**(r-1)/(1-r), is below the smallest normal double is rejected,
+since that sum underflows or loses its digits.
 """
 
 from __future__ import annotations
@@ -176,8 +176,9 @@ def _holder_series(N: int, r: float, tol: float) -> tuple[float, int, float]:
     """Mean of digit**r under the invariant measure; (value, terms, tail bound)."""
     if not math.isfinite(r):
         raise ValueError(f"order r must be a finite number or >= 1, got {r}")
-    if float(N) ** r < sys.float_info.min:
-        raise ValueError(f"order r = {r} is too negative for N = {N}: N**r underflows")
+    # the undivided sum is about N**(r-1)/(1-r); below the normal range it loses digits
+    if float(N) ** (r - 1) < sys.float_info.min:
+        raise ValueError(f"order r = {r} is too negative for N = {N}: N**(r-1) underflows")
     scale = math.log1p(1.0 / N)
     K = max(N, 128)
     zeta_next = _hurwitz_zeta(9 - r, K + 1)

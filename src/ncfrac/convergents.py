@@ -14,7 +14,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .dynamics import RationalLike, check_index, expand
 
@@ -79,18 +79,13 @@ def convergent_sequence(coeffs: Sequence[int], N: int) -> ConvergentTrace:
     for a in coeffs:
         if a < N:
             raise ValueError(f"inadmissible digit {a} (digits are integers >= N = {N})")
-    out = tuple(Convergent(n, A, B) for n, (A, B) in enumerate(_recursion(coeffs, N)))
-    return ConvergentTrace(N=N, coeffs=coeffs, convergents=out)
-
-
-def _recursion(coeffs: Sequence[int], N: int) -> Iterator[tuple[int, int]]:
-    """Yield (A_n, B_n) for n = 0 .. len(coeffs), holding only the last two pairs."""
     A2, A1, B2, B1 = 1, 0, 0, 1  # (A_{-1}, B_{-1}) = (1, 0) gives A_1 = N, B_1 = a_1
-    yield A1, B1
-    for a in coeffs:
+    out = [Convergent(0, A1, B1)]
+    for n, a in enumerate(coeffs, 1):
         A2, A1 = A1, a * A1 + N * A2
         B2, B1 = B1, a * B1 + N * B2
-        yield A1, B1
+        out.append(Convergent(n, A1, B1))
+    return ConvergentTrace(N=N, coeffs=coeffs, convergents=tuple(out))
 
 
 def determinant_check(trace: ConvergentTrace) -> bool:

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import constants
-from .convergents import _recursion, convergent_sequence
+from .convergents import convergent_sequence
 from .dynamics import Expansion, RationalLike, _steps, check_index, expand, fixed_point
 
 __all__ = [
@@ -177,8 +177,13 @@ def _check_observable(cfg: SampleConfig, observable: str, param) -> tuple[str, O
     return observable, param
 
 
-def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, N: int) -> float:
-    """Per-trial mean of one observable; log_ratio is log(x_0 * ... * x_{n-1})."""
+def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, x_n: float,
+                N: int) -> float:
+    """Per-trial mean of one observable.
+
+    log_ratio is log(x_0 * ... * x_{n-1}) and x_n the last image (0 when the
+    orbit terminated).
+    """
     n = len(digits)
     if observable == "log-digit":
         return sum(math.log(a) for a in digits) / n
@@ -189,10 +194,12 @@ def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, N: 
     if observable == "log-derivative":
         # sum of log(N / x_k^2)
         return (n * math.log(N) - 2.0 * log_ratio) / n
-    # denominator-growth: keep only the last B_n, not the orbit's whole trace
-    for _, B in _recursion(digits, N):
-        pass
-    return math.log(B) / n
+    # denominator-growth: x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}),
+    # with rho_n = B_{n-1} / B_n from rho_k = 1 / (a_k + N * rho_{k-1}), rho_0 = 0
+    rho = 0.0
+    for a in digits:
+        rho = 1.0 / (a + N * rho)
+    return (n * math.log(N) - log_ratio - math.log1p(x_n * rho)) / n
 
 
 def _divergence_report(cfg: SampleConfig, r: float, digits: list[int]) -> EstimateReport:
@@ -253,6 +260,12 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
     frequency; "log-derivative", lyapunov_const; "denominator-growth",
     log(B_n)/n at the deepest n, levy_L, with the minimum per-trial rate and
     the denominator lower bound, which every trial must respect, in extras.
+
+    The pass builds no convergent.  The orbit's product telescopes,
+    x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}), so the same log ratio
+    gives the Lyapunov sum and log(B_n) = n*log(N) - log(x_0 ... x_{n-1})
+    - log1p(x_n * B_{n-1}/B_n), where the ratio B_{n-1}/B_n comes from a
+    float recursion over the digits and x_n is 0 on a terminated orbit.
     """
     requests = [_check_observable(cfg, name, param) for name, param in observables]
     # a divergent power has no per-trial mean; its report pools every digit
@@ -262,13 +275,13 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
     for trial in range(cfg.trials):
         x = sample_rational(cfg, trial)
         digits = []
-        for a, _, q in _steps(x, cfg.N, cfg.max_terms):
+        for a, p, q in _steps(x, cfg.N, cfg.max_terms):
             digits.append(a)
         # q is now the last numerator stepped from: x_0 * ... * x_{n-1} = q / x.denominator
         log_ratio = math.log(q) - math.log(x.denominator)
         for (name, param), out in zip(requests, means):
             if out is not None:
-                out.append(_trial_mean(name, param, digits, log_ratio, cfg.N))
+                out.append(_trial_mean(name, param, digits, log_ratio, p / q, cfg.N))
         if None in means:
             pooled.extend(digits)
         terms += len(digits)
@@ -300,7 +313,11 @@ def lyapunov_estimate(cfg: SampleConfig) -> EstimateReport:
 
 
 def levy_estimate(cfg: SampleConfig) -> EstimateReport:
-    """Per-trial log(B_n)/n at the deepest available n; target levy_L(N)."""
+    """Per-trial log(B_n)/n at the deepest available n; target levy_L(N).
+
+    B_n is not built: x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}) gives
+    log(B_n) from the orbit itself (see :func:`orbit_estimates`).
+    """
     return birkhoff_estimate(cfg, "denominator-growth")
 
 

@@ -44,6 +44,14 @@ class TestExpand:
         assert rows[0] == ["n", "A", "B", "ratio", "abs_error", "log10_abs_error"]
         assert len(rows) == 3
 
+    def test_exact_convergent_has_null_log_error(self, capsys):
+        code, out, _ = run_cli(capsys, "expand", "2/3", "--format", "json")
+        assert code == 0
+        last = json.loads(out)["results"][0]["convergents"][-1]
+        assert last["abs_error"] == 0.0 and last["log10_abs_error"] is None
+        _, out, _ = run_cli(capsys, "expand", "2/3", "--format", "csv")
+        assert out.splitlines()[-1] == "2,2,3,2/3,0.0,"
+
     def test_plain_output(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "2/3")
         assert code == 0
@@ -121,10 +129,13 @@ class TestConstants:
         assert {type(value) for value in record.values()} == {int, float, str}
 
     def test_underflowing_order_exits_2(self, capsys):
-        # 3000**-100 underflows, so every digit weight k**r is zero
-        code, out, err = run_cli(capsys, "constants", "--n", "3000", "--r=-100")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        # the series sum, about N**(r-1)/(1-r), is below the smallest normal double;
+        # at 3000**-100 every digit weight k**r is zero as well
+        for argv in (("--n", "3000", "--r=-100"), ("--n", str(10**200)),
+                     ("--n", str(10**110), "--r=-2")):
+            code, out, err = run_cli(capsys, "constants", *argv)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestIndexBeyondFloatRange:
@@ -195,6 +206,22 @@ class TestVerify:
         with pytest.raises(SystemExit) as info:
             main(["verify", "entropy"])
         assert info.value.code == 2
+
+
+def _reject_constant(token):
+    raise ValueError(f"bare {token} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "2/3"),
+    ("expand", "0/1", "--n", "4"),
+    ("constants", "--n", "1..3", "--r=-1,0.5,1"),
+    ("verify", "levy", "--n", "2", "--trials", "40", "--bits", "256", "--seed", "11"),
+])
+def test_json_output_is_strict(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    json.loads(out, parse_constant=_reject_constant)
 
 
 class TestReproducibility:

@@ -217,8 +217,10 @@ class TestHolderMean:
         assert holder_mean(100, 0.5) / 100 == pytest.approx(4.0, rel=0.02)
 
     def test_underflowing_weights_rejected(self):
-        # N**r below the smallest normal double: every k**r underflows
-        for N, r in ((200, -1000.0), (3000, -100.0)):
+        # the series sum, about N**(r-1)/(1-r), is below the smallest normal double:
+        # it underflows, or is subnormal and loses digits, as at (10**77, -3)
+        for N, r in ((200, -1000.0), (3000, -100.0), (10**200, -1.0), (10**110, -2.0),
+                     (10**77, -3.0)):
             with pytest.raises(ValueError):
                 holder_mean(N, r)
             with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from ncfrac import (
     SampleConfig,
     birkhoff_estimate,
     bound_achievement,
+    convergent_sequence,
     expand,
     float_shadow_digits,
     frequency,
@@ -183,6 +184,20 @@ class TestLyapunovAndLevy:
             direct = sum(math.log(N) - 2 * (math.log(x.numerator) - math.log(x.denominator))
                          for x in points) / len(points)
             assert lyapunov_estimate(cfg).value == pytest.approx(direct, rel=1e-13)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 1000])
+    @pytest.mark.parametrize("bits, max_terms", [(256, 10_000), (4096, 10_000), (4096, 40),
+                                                 (4096, 90)])
+    def test_levy_rate_equals_convergent_denominator(self, N, bits, max_terms):
+        # the estimator never builds B_n: x_0 ... x_{n-1} = N^n / (B_n + x_n B_{n-1});
+        # check it against the big-integer recursion, on terminated and truncated orbits
+        for seed in range(3):
+            cfg = SampleConfig(N=N, trials=1, denominator_bits=bits, max_terms=max_terms,
+                               seed=seed)
+            exp = expand(sample_rational(cfg, 0), N, max_terms)
+            assert exp.terminated == (max_terms == 10_000)
+            B = convergent_sequence(exp.coeffs, N).final.B
+            assert levy_estimate(cfg).value == pytest.approx(math.log(B) / len(exp), rel=1e-13)
 
     def test_levy_estimate(self):
         report = levy_estimate(CFG3)
