@@ -54,15 +54,14 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_n_values(text: str) -> list[int]:
-    """Accept "3", "1..5" and "1,2,5"."""
+    """Accept "3", "1..5" and "1,2,5"; the constants and verify suites need float(N)."""
     out: list[int] = []
     for chunk in text.split(","):
-        chunk = chunk.strip()
-        if ".." in chunk:
-            lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(chunk))
+        lo, dots, hi = chunk.strip().partition("..")
+        values = range(int(lo), int(hi if dots else lo) + 1)
+        if values and values[-1] > sys.float_info.max:
+            raise ValueError(f"index {values[-1]} is beyond the float range")
+        out.extend(values)
     if not out or any(n < 1 for n in out):
         raise ValueError(f"indices must be integers >= 1, got {text!r}")
     return out
@@ -113,9 +112,9 @@ def _cmd_expand(args) -> tuple[list[dict], dict, int]:
 
 
 def _cmd_constants(args) -> tuple[list[dict], dict, int]:
-    ns = _parse_n_values(args.n)
-    rs = _parse_r_values(args.r)
-    results = [constants.ConstantsReport.compute(n, rs=rs, tol=args.tol).to_record() for n in ns]
+    reports = constants.ConstantsReport.compute_many(
+        _parse_n_values(args.n), _parse_r_values(args.r), args.tol)
+    results = [report.to_record() for report in reports]
     config = {"n": args.n, "r": args.r, "tol": args.tol}
     return results, config, 0
 

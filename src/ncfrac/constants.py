@@ -4,20 +4,27 @@ fixed-point lower bounds.
 
 Series evaluation
 -----------------
-The digit sums all decay polynomially (like log(k)/k**2 or k**(r-2)), so they
-are summed directly up to a cutoff K and the remainder is evaluated through
-the 1/k expansion of log(1 + 1/(k*(k+2))), whose term-by-term sums are
-Hurwitz zeta values.  Those come from a local Euler-Maclaurin evaluation
-(``_hurwitz_zeta``), so the package needs numpy but not scipy.  The first
-omitted expansion order gives a conservative truncation bound, which is what
-the ``tol`` arguments control and what the report diagnostics carry.  The
-geometric-mean sum is first rewritten by summation by parts to drop its
-log(k) factor:
+Each digit mean is a suffix sum S(N) = sum_{k>=N} g(k), divided by
+log(1 + 1/N), of a summand decaying like log(k)/k**2 or k**(r-2).  It is
+summed directly up to a cutoff K; the rest comes from the 1/k expansion of
+log(1 + 1/(k*(k+2))), whose term-by-term sums are Hurwitz zeta values from a
+local Euler-Maclaurin evaluation (``_hurwitz_zeta``; no scipy).  The first
+omitted order bounds the truncation: ``tol`` controls that bound, and the
+report diagnostics carry it.  Summation by parts drops the log(k) factor of
+the geometric-mean sum:
 
     sum_{k>=N} log(k) * log(1 + 1/(k*(k+2)))
         = log(N)*log(1+1/N) + sum_{k>N} log(1+1/(k-1)) * log(1+1/k),
 
 whose summand is even in 1/k, so its tail expansion has only even orders.
+
+One path, ``_suffix_series``, serves every index of a request, walking them
+down from the largest with one compensated running sum: a near index adds
+just the terms in between, a far one starts a new anchor (K doubled until
+the tail bound meets ``tol``, plus the zeta tail at K + 1).  The bound over
+log(1 + 1/N) shrinks as N falls, so it meets ``tol`` for every index carried
+down from an anchor.  The dilogarithm uses Landen's identity,
+-Li2(-x) = Li2(x/(1+x)) + log(1+x)**2/2: positive terms in x/(1+x) <= 1/2.
 
 Everything here is double precision; all advertised tolerances are >= 1e-12
 and the tail bounds dominate rounding.  A power mean whose undivided series,
@@ -52,13 +59,19 @@ __all__ = [
     "lyapunov_const",
 ]
 
-# tail of sum_{k>K} log(1+1/(k-1))*log(1+1/k): even orders only
-_GEOMEAN_TAIL = ((2, 1.0), (4, 5 / 12), (6, 47 / 180), (8, 319 / 1680), (10, 1879 / 12600))
-_GEOMEAN_TAIL_NEXT = 0.25  # safely above the next coefficient c_12 ~ 0.123
+# Tail expansions: (order s, coefficient c) pairs, each summing over k > K to
+# c * zeta(s, K + 1); the last pair bounds all the omitted orders.
+# sum_{k>K} log(1+1/(k-1))*log(1+1/k) has even orders only; 0.25 > c_12 ~ 0.123
+_GEOMEAN_TAIL = ((2, 1.0), (4, 5 / 12), (6, 47 / 180), (8, 319 / 1680), (10, 1879 / 12600),
+                 (12, 0.25))
+# log(1 + 1/(k*(k+2))), orders k**-2 .. k**-8; 60 > sum_{n>=9} |c_n| k**(9-n), k > 64
+_LOG1P_BRANCH_TAIL = ((2, 1.0), (3, -2.0), (4, 3.5), (5, -6.0), (6, 31 / 3), (7, -18.0),
+                      (8, 127 / 4), (9, 60.0))
 
-# 1/k expansion of log(1 + 1/(k*(k+2))), orders k**-2 .. k**-8
-_LOG1P_BRANCH_TAIL = ((2, 1.0), (3, -2.0), (4, 3.5), (5, -6.0), (6, 31 / 3), (7, -18.0), (8, 127 / 4))
-_LOG1P_BRANCH_NEXT = 60.0  # > |c_9| = 56.7
+# The widest gap between requested indices that the running suffix sum is
+# carried across: its terms cost about the ~8 zeta calls of a fresh anchor, and
+# a sparse request such as N = 1 and 10**9 never builds the array in between.
+_CARRY_TERMS = 2048
 
 # Euler-Maclaurin corrections B_2j/(2j)! for j = 6..1, nested from the inside
 # out; each is paired with 2j - 1 because the order j + 1 correction carries
@@ -136,28 +149,36 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     return head + a ** (1.0 - s) * (1.0 / (s - 1.0) + (0.5 + s * h / a) / a)
 
 
-def _zeta_comb(coeffs, start: float, shift: float = 0.0) -> float:
-    return sum(c * _hurwitz_zeta(s - shift, start) for s, c in coeffs)
+def _suffix_series(ns, offset: int, summand, tail, tol: float):
+    """{N: (S / log(1 + 1/N), terms summed directly, tail bound)} for each distinct N
+    in ns, S = sum_{k >= N + offset} summand(k), with the tail expansion ``tail``
+    of the summand (see the module docstring).
+    """
+    *tail, (s_next, c_next) = tail
+    out = {}
+    total = comp = 0.0  # the running sum is total + comp (Neumaier; all terms are positive)
+    stop = math.inf  # first index already in the running sum
+    for N in sorted(set(ns), reverse=True):
+        first, scale = N + offset, math.log1p(1.0 / N)
+        if stop - first > _CARRY_TERMS:
+            K = max(N + 32, 128)
+            while (omitted := c_next * _hurwitz_zeta(s_next, K + 1)) > tol * scale and K < 1 << 24:
+                K *= 2
+            total, comp, stop = sum(c * _hurwitz_zeta(s, K + 1) for s, c in tail), 0.0, K + 1
+        k = float(first) + np.arange(stop - first, dtype=np.float64)
+        segment = float(summand(k).sum())
+        running = total + segment
+        comp += (total - running) + segment if total >= segment else (segment - running) + total
+        total, stop = running, first
+        out[N] = ((total + comp) / scale, K - first + 1, omitted / scale)
+    return out
 
 
-def _check_tol(tol: float) -> None:
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be a finite number > 0, got {tol}")
-
-
-def _geometric_mean_series(N: int, tol: float) -> tuple[float, int, float]:
-    """log of the digit geometric mean; returns (value, terms used, tail bound)."""
-    scale = math.log1p(1.0 / N)
-    K = max(N + 32, 64)
-    zeta_next = _hurwitz_zeta(12, K + 1)
-    while _GEOMEAN_TAIL_NEXT * zeta_next > tol * scale and K < 1 << 24:
-        K *= 2
-        zeta_next = _hurwitz_zeta(12, K + 1)
-    k = np.arange(N + 1, K + 1, dtype=np.float64)
-    partial = math.log(N) * scale + float(np.sum(np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k)))
-    tail = _zeta_comb(_GEOMEAN_TAIL, K + 1)
-    bound = _GEOMEAN_TAIL_NEXT * zeta_next / scale
-    return (partial + tail) / scale, K - N, bound
+def _geometric_mean_series(ns, tol: float) -> dict[int, tuple[float, int, float]]:
+    """log of the digit geometric mean; {N: (value, terms used, tail bound)}."""
+    sums = _suffix_series(ns, 1, lambda k: np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k),
+                          _GEOMEAN_TAIL, tol)
+    return {N: (math.log(N) + mean, terms, bound) for N, (mean, terms, bound) in sums.items()}
 
 
 def khinchin(N: int, tol: float = 1e-12) -> float:
@@ -166,30 +187,19 @@ def khinchin(N: int, tol: float = 1e-12) -> float:
     ``tol`` bounds the series truncation error of the *logarithm* of the
     result (so roughly its relative error).
     """
-    check_index(N)
-    _check_tol(tol)
-    log_value, _, _ = _geometric_mean_series(N, tol)
-    return math.exp(log_value)
+    return ConstantsReport.compute(N, (), tol).khinchin
 
 
-def _holder_series(N: int, r: float, tol: float) -> tuple[float, int, float]:
-    """Mean of digit**r under the invariant measure; (value, terms, tail bound)."""
+def _holder_series(ns, r: float, tol: float) -> dict[int, tuple[float, int, float]]:
+    """Mean of digit**r under the invariant measure; {N: (value, terms, tail bound)}."""
     if not math.isfinite(r):
         raise ValueError(f"order r must be a finite number or >= 1, got {r}")
-    # the undivided sum is about N**(r-1)/(1-r); below the normal range it loses digits
-    if float(N) ** (r - 1) < sys.float_info.min:
-        raise ValueError(f"order r = {r} is too negative for N = {N}: N**(r-1) underflows")
-    scale = math.log1p(1.0 / N)
-    K = max(N, 128)
-    zeta_next = _hurwitz_zeta(9 - r, K + 1)
-    while _LOG1P_BRANCH_NEXT * zeta_next > tol * scale and K < 1 << 24:
-        K *= 2
-        zeta_next = _hurwitz_zeta(9 - r, K + 1)
-    k = np.arange(N, K + 1, dtype=np.float64)
-    partial = float(np.sum(k**r * np.log1p(1.0 / (k * (k + 2.0)))))
-    tail = _zeta_comb(_LOG1P_BRANCH_TAIL, K + 1, shift=r)
-    bound = _LOG1P_BRANCH_NEXT * zeta_next / scale
-    return (partial + tail) / scale, K - N + 1, bound
+    for N in ns:
+        # the undivided sum is about N**(r-1)/(1-r); below the normal range it loses digits
+        if float(N) ** (r - 1) < sys.float_info.min:
+            raise ValueError(f"order r = {r} is too negative for N = {N}: N**(r-1) underflows")
+    return _suffix_series(ns, 0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
+                          [(s - r, c) for s, c in _LOG1P_BRANCH_TAIL], tol)
 
 
 def holder_mean(N: int, r: float, tol: float = 1e-12) -> float:
@@ -197,44 +207,26 @@ def holder_mean(N: int, r: float, tol: float = 1e-12) -> float:
 
     Diverges for r >= 1 (the plain digit mean is already infinite); the
     divergence is signalled by returning math.inf explicitly.  r = 0 is the
-    geometric mean and dispatches to :func:`khinchin`.  ``tol`` bounds the
-    truncation error of the underlying series (the r-th power of the result).
+    geometric mean, :func:`khinchin`.  ``tol`` bounds the truncation error
+    of the underlying series (the r-th power of the result).
     """
-    check_index(N)
-    _check_tol(tol)
-    if r >= 1:
-        return math.inf
-    if r == 0:
-        return khinchin(N, tol)
-    value, _, _ = _holder_series(N, r, tol)
-    return value ** (1.0 / r)
+    return ConstantsReport.compute(N, (r,), tol).holder_means[0][1]
 
 
 def dilog_theta(x: float) -> float:
-    """Integral of log(1+t)/t from 0 to x, via its alternating power series.
+    """Integral of log(1+t)/t from 0 to x, which is -Li2(-x), by Landen's identity.
 
-    The series is summed until the next term drops below 1e-15 (which also
-    bounds the truncation error); the endpoint x = 1, where the alternating
-    series crawls, returns the closed-form value pi**2/12.
+    The series of Li2(x/(1+x)) stops at its first term below 1e-17 * x/(1+x),
+    which also bounds the rest, since each term is at most half the one before.
     """
     if not 0 <= x <= 1:
         raise ValueError(f"argument must lie in [0, 1], got {x}")
-    if x == 0:
-        return 0.0
-    if x == 1:
-        return math.pi**2 / 12
-    total = 0.0
-    k0 = 1
-    chunk = 64
-    while True:
-        k = np.arange(k0, k0 + chunk, dtype=np.float64)
-        terms = x**k / (k * k)
-        signs = np.where(k % 2 == 1, 1.0, -1.0)
-        total += float(np.sum(signs * terms))
-        if terms[-1] <= 1e-15:
-            return total
-        k0 += chunk
-        chunk = min(2 * chunk, 1 << 20)
+    z = x / (1.0 + x)
+    terms, k = [0.5 * math.log1p(x) ** 2, z], 1
+    while terms[-1] > 1e-17 * z:
+        k += 1
+        terms.append(z**k / (k * k))
+    return math.fsum(terms)
 
 
 def levy_lambda(N: int) -> float:
@@ -281,7 +273,8 @@ def lower_bounds(N: int) -> tuple[float, float]:
     """
     check_index(N)
     lyap = 2.0 * math.log((math.sqrt(N + 4.0) + math.sqrt(float(N))) / 2.0)
-    denom = math.log((math.sqrt(N * N + 4.0 * N) + N) / 2.0)
+    # the root as N*sqrt(1 + 4/N), halved before the sum: finite wherever float(N) is
+    denom = math.log(N * math.sqrt(1.0 + 4.0 / N) / 2.0 + N / 2.0)
     return lyap, denom
 
 
@@ -306,38 +299,43 @@ class ConstantsReport:
     diagnostics: dict[str, tuple[int, float]] = field(default_factory=dict)
 
     @classmethod
-    def compute(
-        cls, N: int, rs: Sequence[float] = (-1.0, 0.5), tol: float = 1e-12
-    ) -> "ConstantsReport":
-        check_index(N)
-        _check_tol(tol)
-        log_k, k_terms, k_bound = _geometric_mean_series(N, tol)
-        diagnostics = {"khinchin": (k_terms, k_bound)}
-        holder: list[tuple[float, float]] = []
-        for r in rs:
-            if r >= 1:
-                holder.append((r, math.inf))
-            elif r == 0:
-                holder.append((r, math.exp(log_k)))
-            else:
-                value, terms, bound = _holder_series(N, r, tol)
-                holder.append((r, value ** (1.0 / r)))
-                diagnostics[f"holder[r={r:g}]"] = (terms, bound)
-        lam = levy_lambda(N)
-        lyap = 2.0 * lam + math.log(N)
-        lyap_bound, denom_bound = lower_bounds(N)
-        return cls(
-            N=N,
-            khinchin=math.exp(log_k),
-            holder_means=tuple(holder),
-            levy_lambda=lam,
-            levy_L=lam + math.log(N),
-            lyapunov=lyap,
-            loch=math.log(10) / lyap,
-            lower_bound_lyapunov=lyap_bound,
-            lower_bound_denominator=denom_bound,
-            diagnostics=diagnostics,
-        )
+    def compute(cls, N: int, rs: Sequence[float] = (-1.0, 0.5),
+                tol: float = 1e-12) -> "ConstantsReport":
+        return cls.compute_many([N], rs, tol)[0]
+
+    @classmethod
+    def compute_many(
+        cls, ns: Sequence[int], rs: Sequence[float] = (-1.0, 0.5), tol: float = 1e-12
+    ) -> list["ConstantsReport"]:
+        """One report per requested index, in request order, duplicates kept;
+        each digit-mean series is summed once for all of them."""
+        ns = [check_index(N) for N in ns]
+        if not 0 < tol < math.inf:
+            raise ValueError(f"tol must be a finite number > 0, got {tol}")
+        geometric = _geometric_mean_series(ns, tol)
+        series = {r: _holder_series(ns, r, tol) for r in rs if not (r >= 1 or r == 0)}
+        reports = []
+        for N in ns:
+            log_k = geometric[N][0]
+            diagnostics = {"khinchin": geometric[N][1:]}
+            holder: list[tuple[float, float]] = []
+            for r in rs:
+                if r >= 1:
+                    holder.append((r, math.inf))
+                elif r == 0:
+                    holder.append((r, math.exp(log_k)))
+                else:
+                    holder.append((r, series[r][N][0] ** (1.0 / r)))
+                    diagnostics[f"holder[r={r:g}]"] = series[r][N][1:]
+            lam = levy_lambda(N)
+            lyap = 2.0 * lam + math.log(N)
+            lyap_bound, denom_bound = lower_bounds(N)
+            reports.append(cls(
+                N=N, khinchin=math.exp(log_k), holder_means=tuple(holder), levy_lambda=lam,
+                levy_L=lam + math.log(N), lyapunov=lyap, loch=math.log(10) / lyap,
+                lower_bound_lyapunov=lyap_bound, lower_bound_denominator=denom_bound,
+                diagnostics=diagnostics))
+        return reports
 
     def to_record(self) -> dict:
         """Flatten to one JSON/CSV-friendly key-value record."""

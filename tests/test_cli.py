@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -128,6 +129,15 @@ class TestConstants:
         record = ConstantsReport.compute(2, rs=(-1.0, 0.5, 1.0)).to_record()
         assert {type(value) for value in record.values()} == {int, float, str}
 
+    @pytest.mark.filterwarnings("error")
+    def test_index_beyond_squared_float_range(self, capsys):
+        # N*N and k*(k+2) exceed the float range here, though every constant is finite
+        code, out, err = run_cli(capsys, "constants", "--n", str(10**160), "--r=0.5",
+                                 "--format", "json")
+        assert code == 0 and err == ""
+        (record,) = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert all(math.isfinite(value) for key, value in record.items() if key != "N")
+
     def test_underflowing_order_exits_2(self, capsys):
         # the series sum, about N**(r-1)/(1-r), is below the smallest normal double;
         # at 3000**-100 every digit weight k**r is zero as well
@@ -152,6 +162,7 @@ class TestIndexBeyondFloatRange:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+        assert f"index {self.BIG} " in err
 
     def test_exact_expansion_still_works(self, capsys):
         code, out, _ = run_cli(capsys, "expand", "1/3", "--n", self.BIG)

@@ -11,6 +11,7 @@ digit means, and (when installed) 30-digit mpmath sums that check the
 reported tail bounds, plus mpmath's Hurwitz zeta for the local one.
 """
 
+import json
 import math
 import os
 import random
@@ -39,6 +40,7 @@ from ncfrac import (
     lower_bounds,
     lyapunov_const,
 )
+from ncfrac.cli import main
 from ncfrac.constants import _hurwitz_zeta
 
 # frozen 30-digit references (see module docstring)
@@ -245,6 +247,15 @@ class TestDilog:
         for x in (0.1, 0.3, 0.5, 0.8, 0.97):
             assert dilog_theta(x) == pytest.approx(-float(spence(1.0 + x)), abs=1e-13)
 
+    def test_against_mpmath_polylog(self):
+        # Landen's identity gives a positive series in x/(1+x) <= 1/2, even at x = 1
+        mpmath = pytest.importorskip("mpmath")
+        xs = [1.0 / N for N in range(1, 3001)] + [0.5, 0.97, 0.999999, 1.0]
+        with mpmath.workdps(30):
+            for x in xs:
+                exact = -mpmath.polylog(2, -mpmath.mpf(x))
+                assert abs(dilog_theta(x) - exact) <= 5e-16 * exact, x
+
     def test_domain(self):
         with pytest.raises(ValueError):
             dilog_theta(1.5)
@@ -307,6 +318,11 @@ class TestLowerBounds:
         assert lyap == pytest.approx(2 * math.log((math.sqrt(8) + 2) / 2), abs=1e-15)
         assert denom == pytest.approx(math.log((math.sqrt(32) + 4) / 2), abs=1e-15)
 
+    def test_finite_where_n_squared_is_not_a_float(self):
+        for N in (10**155, 10**300):
+            for bound in lower_bounds(N):
+                assert bound == pytest.approx(math.log(N), rel=1e-15)
+
     def test_algebraic_identity(self):
         for N in range(1, 101):
             lyap, denom = lower_bounds(N)
@@ -344,10 +360,10 @@ class TestConstantsReport:
 
 def _mpmath_digit_mean(mpmath, N, r):
     """E[w(digit)] at 30 digits, w = log k (r None) or k**r: direct sum to
-    K0 = 1000, then the convergent expansion
+    K0 = max(1000, N), then the convergent expansion
     log(1 + 1/(k(k+2))) = sum_n (-1)**(n+1) (2 - 2**n)/n k**-n summed with
     Hurwitz zeta values (its s-derivative for the log weight) to 1e-40."""
-    mpf, K0 = mpmath.mpf, 1000
+    mpf, K0 = mpmath.mpf, max(1000, N)
     weight = mpmath.log if r is None else (lambda k: mpf(k) ** r)
     head = mpmath.fsum(weight(k) * mpmath.log1p(mpf(1) / (k * (k + 2))) for k in range(N, K0 + 1))
     tail, n = mpf(0), 2
@@ -377,17 +393,57 @@ class TestMpmathOracle:
                 exact = _mpmath_digit_mean(mpmath, N, r)
                 error = abs(mpmath.mpf(holder_mean(N, r)) ** r - exact)
                 assert error <= record[f"holder[r={r:g}]_tail_bound"] + ROUNDING_SLACK * exact
-            # the dilogarithm series stops below a 1e-15 term (its documented bound)
+            # the dilogarithm is held to its former bound, one 1e-15 term
             scale = mpmath.log1p(mpmath.mpf(1) / N)
             exact = -mpmath.polylog(2, -mpmath.mpf(1) / N) / scale
             error = abs(levy_lambda(N) - exact)
             assert error <= 1e-15 / scale + ROUNDING_SLACK * exact
 
 
+BATCH_RS = (-1.0, -0.5, 0.5, 0.9)
+
+
+@pytest.fixture(scope="module")
+def batch():
+    """One request for N = 1..3000: every series is one suffix sum walked down."""
+    return {report.N: report for report in
+            ConstantsReport.compute_many(range(1, 3001), rs=BATCH_RS)}
+
+
+class TestConstantsBatch:
+    @pytest.mark.parametrize("N", [1, 2, 3, 10, 100, 999, 2000, 3000])
+    def test_against_mpmath(self, batch, N):
+        mpmath = pytest.importorskip("mpmath")
+        report = batch[N]
+        with mpmath.workdps(30):
+            exact = _mpmath_digit_mean(mpmath, N, None)
+            assert abs(mpmath.log(report.khinchin) - exact) <= 2e-15 * abs(exact)
+            for r, value in report.holder_means:
+                exact = _mpmath_digit_mean(mpmath, N, r)
+                assert abs(mpmath.mpf(value) ** r - exact) <= 2e-15 * exact, r
+
+    def test_tail_bounds_meet_tol(self, batch):
+        for report in batch.values():
+            for terms, bound in report.diagnostics.values():
+                assert terms > 0 and 0 <= bound <= 1e-12
+
+    def test_request_order_and_duplicates_kept(self, capsys):
+        assert main(["constants", "--n", "5,1,5", "--format", "json"]) == 0
+        records = json.loads(capsys.readouterr().out)["results"]
+        assert [record["N"] for record in records] == [5, 1, 5]
+        assert records[0] == records[2]
+
+    def test_sparse_request_anchors_each_index(self):
+        # N = 1 lies more than 2048 terms below 10**5, so it is anchored as if alone
+        first, _ = ConstantsReport.compute_many([1, 10**5])
+        assert first == ConstantsReport.compute(1)
+
+
 class TestHurwitzZeta:
     """The local Hurwitz zeta over the (s, a) pairs the digit-mean series use:
     s = 2..12 (geometric mean) and 2..9 - r (power means), a = K + 1 for the
-    doubling cutoffs K >= 64 and the index-driven cutoffs K = N, N + 32."""
+    doubling cutoffs K >= 128 and the index-driven cutoffs K = N + 32, and
+    a few starts next to those."""
 
     ORDERS = (-1.0, -0.5, 0.5, 0.9, -160.0, -90.0, -50.0, -1e-9, 0.999999)
     STARTS = [2**e + 1 for e in range(6, 25)] + [
