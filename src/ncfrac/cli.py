@@ -206,27 +206,15 @@ _SUITE_RUNNERS = {
 
 
 def _sample_config(n: int, args) -> ergodic.SampleConfig:
-    return ergodic.SampleConfig(
-        N=n,
-        trials=args.trials,
-        denominator_bits=args.bits,
-        max_terms=args.max_terms,
-        seed=args.seed,
-    )
+    return ergodic.SampleConfig(N=n, trials=args.trials, denominator_bits=args.bits,
+                                max_terms=args.max_terms, seed=args.seed)
 
 
 def _cmd_verify(args) -> tuple[list[dict], dict, int]:
     ns = _parse_n_values(args.n)
     rows = _SUITE_RUNNERS[args.suite](ns, args)
-    config = {
-        "suite": args.suite,
-        "n": args.n,
-        "trials": args.trials,
-        "bits": args.bits,
-        "max_terms": args.max_terms,
-        "seed": args.seed,
-        "cells": args.cells,
-    }
+    config = {key: getattr(args, key)
+              for key in ("suite", "n", "trials", "bits", "max_terms", "seed", "cells")}
     failed = [row for row in rows if not row["pass"]]
     return rows, config, 1 if failed else 0
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -117,13 +118,37 @@ def frequency(N: int, M: int) -> float:
     check_index(N)
     if isinstance(M, bool) or not isinstance(M, int) or M < N:
         raise ValueError(f"digit must be an integer >= N = {N}, got {M!r}")
-    return math.log1p(1.0 / (M * (M + 2))) / math.log1p(1.0 / N)
+    try:
+        u = 1.0 / (M * (M + 2))
+    except OverflowError:
+        # u < 1e-308 has log1p(u) = u: the frequency is the correctly rounded
+        # quotient N*u times (1/N)/log1p(1/N) = 1 + 1/(2N) - ..., 1.0 beyond 2**53
+        scale = 1.0 if N > 2**53 else 1.0 / N / math.log1p(1.0 / N)
+        return N / (M * (M + 2)) * scale
+    return math.log1p(u) / math.log1p(1.0 / N)
 
 
-def _hurwitz_zeta(s: float, a: float) -> float:
-    """Hurwitz zeta(s, a) = sum_{k>=0} (a + k)**-s for s > 1, a > 0.
+def _checked(quantity: str, N: int, fn, *args) -> float:
+    """fn(*args), with an overflow, raised or non-finite, reported as the quantity at N."""
+    try:
+        value = fn(*args)
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        pass
+    raise OverflowError(f"{quantity} at N = {N} is beyond the float range")
 
-    Euler-Maclaurin at the start point with seven Bernoulli corrections:
+
+def _root(S: float, q: float, d: float) -> float:
+    """S**(q + d) for a tiny d, as (S * S**(d/q))**q, where S**(d/q) is 1.0 if d = 0."""
+    return (S * math.exp(d / q * math.log(S))) ** q
+
+
+def _hurwitz_zeta(t: float, a: float) -> float:
+    """Hurwitz zeta(s, a) = sum_{k>=0} (a + k)**-s for s = 1 + t > 1, a > 0.
+
+    t = s - 1 is passed as such: a**(1-s) and 1/(s-1) amplify its rounding
+    near s = 1.  Euler-Maclaurin at the start point with seven Bernoulli corrections:
 
         a**(1-s)/(s-1) + a**-s/2 + sum_j B_2j/(2j)! * (s)_(2j-1) * a**(-s-2j+1).
 
@@ -134,6 +159,7 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     Returns 0.0 once a**-s underflows there, where the value itself is
     below twice the smallest subnormal.
     """
+    s = 1.0 + t
     a = float(a)
     head = 0.0
     if a < 2.0 * s + 28.0:
@@ -146,15 +172,15 @@ def _hurwitz_zeta(s: float, a: float) -> float:
     h = _EM_LAST
     for c, k in _EM_STEPS:
         h = c + (s + k) * (s + k + 1.0) * w * h
-    return head + a ** (1.0 - s) * (1.0 / (s - 1.0) + (0.5 + s * h / a) / a)
+    return head + a**-t * (1.0 / t + (0.5 + s * h / a) / a)
 
 
 def _suffix_series(ns, offset: int, summand, tail, tol: float):
     """{N: (S / log(1 + 1/N), terms summed directly, tail bound)} for each distinct N
     in ns, S = sum_{k >= N + offset} summand(k), with the tail expansion ``tail``
-    of the summand (see the module docstring).
+    of the summand as (s - 1, c) pairs (see the module docstring).
     """
-    *tail, (s_next, c_next) = tail
+    *tail, (t_next, c_next) = tail
     out = {}
     total = comp = 0.0  # the running sum is total + comp (Neumaier; all terms are positive)
     stop = math.inf  # first index already in the running sum
@@ -162,9 +188,9 @@ def _suffix_series(ns, offset: int, summand, tail, tol: float):
         first, scale = N + offset, math.log1p(1.0 / N)
         if stop - first > _CARRY_TERMS:
             K = max(N + 32, 128)
-            while (omitted := c_next * _hurwitz_zeta(s_next, K + 1)) > tol * scale and K < 1 << 24:
+            while (omitted := c_next * _hurwitz_zeta(t_next, K + 1)) > tol * scale and K < 1 << 24:
                 K *= 2
-            total, comp, stop = sum(c * _hurwitz_zeta(s, K + 1) for s, c in tail), 0.0, K + 1
+            total, comp, stop = sum(c * _hurwitz_zeta(t, K + 1) for t, c in tail), 0.0, K + 1
         k = float(first) + np.arange(stop - first, dtype=np.float64)
         segment = float(summand(k).sum())
         running = total + segment
@@ -177,7 +203,7 @@ def _suffix_series(ns, offset: int, summand, tail, tol: float):
 def _geometric_mean_series(ns, tol: float) -> dict[int, tuple[float, int, float]]:
     """log of the digit geometric mean; {N: (value, terms used, tail bound)}."""
     sums = _suffix_series(ns, 1, lambda k: np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k),
-                          _GEOMEAN_TAIL, tol)
+                          [(s - 1, c) for s, c in _GEOMEAN_TAIL], tol)
     return {N: (math.log(N) + mean, terms, bound) for N, (mean, terms, bound) in sums.items()}
 
 
@@ -191,15 +217,21 @@ def khinchin(N: int, tol: float = 1e-12) -> float:
 
 
 def _holder_series(ns, r: float, tol: float) -> dict[int, tuple[float, int, float]]:
-    """Mean of digit**r under the invariant measure; {N: (value, terms, tail bound)}."""
+    """Power mean of order r; {N: (value, terms, tail bound of the mean of digit**r)}."""
     if not math.isfinite(r):
         raise ValueError(f"order r must be a finite number or >= 1, got {r}")
     for N in ns:
         # the undivided sum is about N**(r-1)/(1-r); below the normal range it loses digits
         if float(N) ** (r - 1) < sys.float_info.min:
-            raise ValueError(f"order r = {r} is too negative for N = {N}: N**(r-1) underflows")
-    return _suffix_series(ns, 0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
-                          [(s - r, c) for s, c in _LOG1P_BRANCH_TAIL], tol)
+            raise ValueError(f"holder_mean[r={r:g}] at N = {N} is out of reach: order r = {r} "
+                             "is too negative, N**(r-1) underflows")
+    sums = _suffix_series(ns, 0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
+                          [((s - 1) - r, c) for s, c in _LOG1P_BRANCH_TAIL], tol)
+    # the exponent 1/r as fl(1/r) plus its rounding, formed in rationals
+    q, name = 1.0 / r, f"holder_mean[r={r:g}]"
+    d = float(1 / Fraction(r) - Fraction(q))
+    return {N: (_checked(name, N, _root, mean, q, d), terms, bound)
+            for N, (mean, terms, bound) in sums.items()}
 
 
 def holder_mean(N: int, r: float, tol: float = 1e-12) -> float:
@@ -316,22 +348,22 @@ class ConstantsReport:
         series = {r: _holder_series(ns, r, tol) for r in rs if not (r >= 1 or r == 0)}
         reports = []
         for N in ns:
-            log_k = geometric[N][0]
+            khin = _checked("khinchin", N, math.exp, geometric[N][0])
             diagnostics = {"khinchin": geometric[N][1:]}
             holder: list[tuple[float, float]] = []
             for r in rs:
                 if r >= 1:
                     holder.append((r, math.inf))
                 elif r == 0:
-                    holder.append((r, math.exp(log_k)))
+                    holder.append((r, khin))
                 else:
-                    holder.append((r, series[r][N][0] ** (1.0 / r)))
+                    holder.append((r, series[r][N][0]))
                     diagnostics[f"holder[r={r:g}]"] = series[r][N][1:]
             lam = levy_lambda(N)
             lyap = 2.0 * lam + math.log(N)
             lyap_bound, denom_bound = lower_bounds(N)
             reports.append(cls(
-                N=N, khinchin=math.exp(log_k), holder_means=tuple(holder), levy_lambda=lam,
+                N=N, khinchin=khin, holder_means=tuple(holder), levy_lambda=lam,
                 levy_L=lam + math.log(N), lyapunov=lyap, loch=math.log(10) / lyap,
                 lower_bound_lyapunov=lyap_bound, lower_bound_denominator=denom_bound,
                 diagnostics=diagnostics))
@@ -339,16 +371,9 @@ class ConstantsReport:
 
     def to_record(self) -> dict:
         """Flatten to one JSON/CSV-friendly key-value record."""
-        record: dict = {
-            "N": self.N,
-            "khinchin": self.khinchin,
-            "levy_lambda": self.levy_lambda,
-            "levy_L": self.levy_L,
-            "lyapunov": self.lyapunov,
-            "loch": self.loch,
-            "lower_bound_lyapunov": self.lower_bound_lyapunov,
-            "lower_bound_denominator": self.lower_bound_denominator,
-        }
+        record: dict = {key: getattr(self, key) for key in (
+            "N", "khinchin", "levy_lambda", "levy_L", "lyapunov", "loch",
+            "lower_bound_lyapunov", "lower_bound_denominator")}
         for r, value in self.holder_means:
             record[f"holder_mean[r={r:g}]"] = "divergent" if math.isinf(value) else value
         for name, (terms, bound) in self.diagnostics.items():

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 __all__ = [
     "DEFAULT_MAX_TERMS",
@@ -106,21 +106,24 @@ def digit(x: RationalLike, N: int) -> int:
     return N * x.denominator // x.numerator
 
 
-def _steps(x: Fraction, N: int, max_terms: Optional[int] = None) -> Iterator[tuple[int, int, int]]:
-    """Yield (digit, p, q) per exact step of the orbit of x, p/q being the image.
+def _walk(p: int, q: int, N: int, max_terms: int) -> tuple[list[int], int, int]:
+    """Digits of the first max_terms exact steps of the orbit of p/q, and the last image.
 
     The step (p, q) -> (N*q mod p, p) skips reduction: the ratio, so every
     digit, is unchanged and p still strictly decreases, so the walk ends at
-    the same step.  Each yielded q is the previous p.  Stops at 0, or after
-    max_terms steps (None: no limit).
+    the same step.  Stops at 0 or after max_terms steps, and returns the
+    digits with the last image as an unreduced pair (p, q), whose q is the
+    numerator stepped from (p/q itself when no step was taken).
     """
-    p, q = x.numerator, x.denominator
-    n = 0
-    while p != 0 and n != max_terms:
+    digits: list[int] = []
+    append = digits.append
+    for _ in range(max_terms):
+        if not p:
+            break
         a, r = divmod(N * q, p)
+        append(a)
         p, q = r, p
-        n += 1
-        yield a, p, q
+    return digits, p, q
 
 
 def orbit(x: RationalLike, N: int) -> Iterator[Fraction]:
@@ -128,7 +131,9 @@ def orbit(x: RationalLike, N: int) -> Iterator[Fraction]:
     check_index(N)
     x = _as_unit_rational(x)
     yield x
-    for _, p, q in _steps(x, N):
+    p, q = x.numerator, x.denominator
+    while p:
+        _, p, q = _walk(p, q, N, 1)
         yield Fraction(p, q)
 
 
@@ -144,10 +149,7 @@ def expand(x: RationalLike, N: int, max_terms: int = DEFAULT_MAX_TERMS) -> Expan
     if max_terms < 0:
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     x = _as_unit_rational(x)
-    coeffs = []
-    p = x.numerator
-    for a, p, _ in _steps(x, N, max_terms):
-        coeffs.append(a)
+    coeffs, p, _ = _walk(x.numerator, x.denominator, N, max_terms)
     return Expansion(N=N, coeffs=tuple(coeffs), terminated=p == 0)
 
 

@@ -8,14 +8,17 @@ shadow orbit loses roughly lyapunov/log(2) mantissa bits per step and its
 digits go wrong within a few dozen steps (see :func:`shadow_divergence_step`),
 while the exact orbit is ground truth for its full length.
 
-Trials are independent with per-trial RNG substreams derived from
-(seed, trial index), so results do not depend on execution order.  Each
-trial walks its orbit once with the exact kernel of :mod:`ncfrac.dynamics`
-and feeds every requested observable from that one pass.
+Trials are independent: each trial reads its own PCG64 stream, seeded by
+(seed, trial index), so results do not depend on execution order.  The
+stream's raw words are taken as bytes exactly as numpy's ``Generator.bytes``
+would return them (see :func:`sample_rational`).  Each trial walks its orbit
+once with the list-returning exact kernel of :mod:`ncfrac.dynamics` and
+feeds every requested observable from that one digit list.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import constants
 from .convergents import convergent_sequence
-from .dynamics import Expansion, RationalLike, _steps, check_index, expand, fixed_point
+from .dynamics import Expansion, RationalLike, _walk, check_index, expand, fixed_point
 
 __all__ = [
     "OBSERVABLES",
@@ -88,31 +91,14 @@ class EstimateReport:
     extras: dict = field(default_factory=dict)
 
     @classmethod
-    def from_value(
-        cls,
-        quantity: str,
-        value: float,
-        target: float,
-        *,
-        per_trial_std: float = 0.0,
-        trials: int = 1,
-        terms: int = 0,
-        extras: Optional[dict] = None,
-    ) -> "EstimateReport":
+    def from_value(cls, quantity: str, value: float, target: float, *,
+                   per_trial_std: float = 0.0, trials: int = 1, terms: int = 0,
+                   extras: Optional[dict] = None) -> "EstimateReport":
         finite = math.isfinite(value) and math.isfinite(target)
         abs_dev = abs(value - target) if finite else math.nan
         rel_dev = abs_dev / abs(target) if finite and target != 0 else math.nan
-        return cls(
-            quantity=quantity,
-            value=value,
-            target=target,
-            abs_deviation=abs_dev,
-            rel_deviation=rel_dev,
-            per_trial_std=per_trial_std,
-            trials=trials,
-            terms=terms,
-            extras=dict(extras or {}),
-        )
+        return cls(quantity, value, target, abs_dev, rel_dev, per_trial_std, trials, terms,
+                   dict(extras or {}))
 
     def to_record(self) -> dict:
         def clean(v):
@@ -120,35 +106,33 @@ class EstimateReport:
                 return "divergent" if math.isinf(v) else None
             return v
 
-        record = {
-            "quantity": self.quantity,
-            "value": clean(self.value),
-            "target": clean(self.target),
-            "abs_deviation": clean(self.abs_deviation),
-            "rel_deviation": clean(self.rel_deviation),
-            "per_trial_std": self.per_trial_std,
-            "trials": self.trials,
-            "terms": self.terms,
-        }
+        record = {key: clean(getattr(self, key)) for key in (
+            "quantity", "value", "target", "abs_deviation", "rel_deviation", "per_trial_std",
+            "trials", "terms")}
         record.update({k: clean(v) for k, v in self.extras.items()})
         return record
 
 
-def _trial_rng(cfg: SampleConfig, trial: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
 def sample_rational(cfg: SampleConfig, trial: int = 0) -> Fraction:
-    """Random p/q with q an exact `denominator_bits`-bit integer, p uniform in [1, q)."""
-    rng = _trial_rng(cfg, trial)
+    """Random p/q with q an exact `denominator_bits`-bit integer, p uniform in [1, q).
+
+    Each draw reads the next 4*ceil(nbytes/4) bytes of the (seed, trial) PCG64
+    output as little-endian words and keeps the first nbytes = ceil(bits/8):
+    exactly numpy's ``Generator.bytes(nbytes)``, without its per-call cost.
+    """
     bits = cfg.denominator_bits
     nbytes = (bits + 7) // 8
-    q = 1 << (bits - 1) | int.from_bytes(rng.bytes(nbytes), "big") & ((1 << (bits - 1)) - 1)
-    full = (1 << bits) - 1
-    while True:
-        p = int.from_bytes(rng.bytes(nbytes), "big") & full
-        if 1 <= p < q:
+    step = -(-nbytes // 4) * 4
+    raw = np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(trial,))).random_raw
+    stream = b""
+    top = 1 << (bits - 1)
+    for start in itertools.count(0, step):
+        if len(stream) < start + nbytes:
+            stream += raw(step // 4).astype("<u8").tobytes()  # two draws
+        draw = int.from_bytes(stream[start:start + nbytes], "big")
+        if start == 0:
+            q = top | draw & (top - 1)
+        elif 1 <= (p := draw & (2 * top - 1)) < q:
             return Fraction(p, q)
 
 
@@ -186,7 +170,7 @@ def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, x_n
     """
     n = len(digits)
     if observable == "log-digit":
-        return sum(math.log(a) for a in digits) / n
+        return sum(map(math.log, digits)) / n
     if observable == "digit-power":
         return sum(math.exp(param * math.log(a)) for a in digits) / n
     if observable == "digit-indicator":
@@ -198,7 +182,10 @@ def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, x_n
     # with rho_n = B_{n-1} / B_n from rho_k = 1 / (a_k + N * rho_{k-1}), rho_0 = 0
     rho = 0.0
     for a in digits:
-        rho = 1.0 / (a + N * rho)
+        try:
+            rho = 1.0 / (a + N * rho)
+        except OverflowError:  # a is beyond the float range, where N * rho <= 1 is negligible
+            rho = 1 / a
     return (n * math.log(N) - log_ratio - math.log1p(x_n * rho)) / n
 
 
@@ -231,7 +218,8 @@ def _estimate_report(cfg: SampleConfig, observable: str, param, means: list[floa
     std = float(means.std(ddof=1)) if cfg.trials > 1 else 0.0
     value, extras = grand, {}
     if observable == "log-digit":
-        quantity, value, target = "geometric-mean", math.exp(grand), constants.khinchin(cfg.N)
+        quantity, target = "geometric-mean", constants.khinchin(cfg.N)
+        value = constants._checked(quantity, cfg.N, math.exp, grand)
         extras = {"scale": "log", "log_value": grand}
     elif observable == "digit-power":
         quantity, value = f"digit-power[r={param:g}]", grand ** (1.0 / param)
@@ -274,10 +262,8 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
     terms = 0
     for trial in range(cfg.trials):
         x = sample_rational(cfg, trial)
-        digits = []
-        for a, p, q in _steps(x, cfg.N, cfg.max_terms):
-            digits.append(a)
-        # q is now the last numerator stepped from: x_0 * ... * x_{n-1} = q / x.denominator
+        digits, p, q = _walk(x.numerator, x.denominator, cfg.N, cfg.max_terms)
+        # q is the last numerator stepped from: x_0 * ... * x_{n-1} = q / x.denominator
         log_ratio = math.log(q) - math.log(x.denominator)
         for (name, param), out in zip(requests, means):
             if out is not None:
@@ -360,9 +346,7 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
     # enough digits that `depth` steps cannot burn through the approximation
     digits = int(depth * constants.levy_L(N) / math.log(10)) + 60
     z = fixed_point(N, N, digits=digits)
-    coeffs = []
-    for a, _, q in _steps(z, N, depth):
-        coeffs.append(a)
+    coeffs, _, q = _walk(z.numerator, z.denominator, N, depth)
     if coeffs != [N] * depth:
         raise RuntimeError("fixed-point approximation ran out of precision")
     log_ratio = math.log(q) - math.log(z.denominator)

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import IO, Union
 
@@ -136,6 +138,8 @@ def transition_matrix(N: int, m: int) -> np.ndarray:
         raise ValueError(f"need at least 16 cells, got {m}")
     if m > MAX_CELLS:
         raise ValueError(f"dense grids beyond {MAX_CELLS} cells are not supported, got {m}")
+    if N * m > sys.float_info.max:  # the branch edges K_i = floor(N*m/i) must be floats
+        raise OverflowError(f"transition-matrix[m={m}] at N = {N} is beyond the float range")
     P = _cell_masses(N, m)
     P /= P.sum(axis=1, keepdims=True)
     return P
@@ -217,15 +221,8 @@ def density_profile(model: UlamModel) -> np.ndarray:
 def write_density_profile(model: UlamModel, file: Union[str, IO[str]]) -> None:
     """Dump the density profile as CSV (midpoint, empirical, analytic) for plotting."""
     rows = density_profile(model)
-    close = False
-    if isinstance(file, str):
-        file = open(file, "w", newline="")
-        close = True
-    try:
-        writer = csv.writer(file)
+    with open(file, "w", newline="") if isinstance(file, str) else nullcontext(file) as handle:
+        writer = csv.writer(handle)
         writer.writerow(["midpoint", "empirical", "analytic"])
         for mid, emp, ana in rows:
             writer.writerow([repr(float(mid)), repr(float(emp)), repr(float(ana))])
-    finally:
-        if close:
-            file.close()

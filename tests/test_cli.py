@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -170,6 +172,42 @@ class TestIndexBeyondFloatRange:
         assert f"digits: {3 * 10**400}" in out
 
 
+class TestIndexAtTopOfFloatRange:
+    """Each command either reports finite strict JSON or names what overflowed.
+
+    Exit 1 is a row failing its gate: no digit equal to N ~ 1e308 turns up, so
+    the frequency rows read 0 against a target of about 1/N.
+    """
+
+    @pytest.mark.parametrize("N", [6 * 10**307, 10**308, 2**1024 - 2**971],
+                             ids=["6e307", "1e308", "float-max"])
+    @pytest.mark.parametrize("argv", [
+        ("constants",),
+        ("constants", "--r=0.5"),
+        ("constants", "--r=-1e-300,0,2"),
+        ("constants", "--r=0.999"),
+        ("constants", "--r=0.999999"),
+        ("verify", "birkhoff", "--trials", "3"),
+        ("verify", "levy", "--trials", "3"),
+        ("verify", "lyapunov", "--trials", "3"),
+        ("verify", "frequencies", "--trials", "3"),
+        ("verify", "bounds"),
+        ("verify", "ulam", "--cells", "16"),
+    ])
+    def test_finite_output_or_named_overflow(self, capsys, argv, N):
+        code, out, err = run_cli(capsys, *argv, "--n", str(N), "--format", "json")
+        if code == 2:
+            assert out == "" and err.count("\n") == 1
+            assert re.fullmatch(rf"error: \S+ at N = {N} .*\n", err), err
+            return
+        assert err == ""
+        results = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert code == (1 if any(row.get("pass") is False for row in results) else 0)
+        for row in results:
+            values = [v for v in row.values() if isinstance(v, float)]
+            assert values and all(math.isfinite(v) for v in values), row
+
+
 class TestVerify:
     def test_bounds_suite_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "bounds", "--n", "1..10")
@@ -233,6 +271,18 @@ def test_json_output_is_strict(capsys, argv):
     code, out, _ = run_cli(capsys, *argv, "--format", "json")
     assert code == 0
     json.loads(out, parse_constant=_reject_constant)
+
+
+# verify output at 96 bits (an odd number of 32-bit words per draw) and 512 bits,
+# captured before the sampler read PCG64's raw words instead of Generator.bytes
+VERIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_GOLDEN))
+def test_verify_json_golden(capsys, command):
+    code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
+    assert code == VERIFY_GOLDEN[command]["exit"]
+    assert json.loads(out) == VERIFY_GOLDEN[command]["output"]
 
 
 class TestReproducibility:

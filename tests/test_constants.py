@@ -144,6 +144,22 @@ class TestFrequency:
         with pytest.raises(ValueError):
             frequency(3, 2)
 
+    @pytest.mark.parametrize("N", [10**160, 10**300])
+    def test_digit_beyond_squared_float_range(self, N):
+        # M*(M+2) exceeds the float range, though the frequency, about 1/N, does not
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for M in (N, N + 1, N + 2, 7 * N):
+                exact = mpmath.log1p(mpmath.mpf(1) / (M * (M + 2))) / mpmath.log1p(mpmath.mpf(1) / N)
+                assert abs(frequency(N, M) - exact) <= 0.5 * math.ulp(float(exact)), M
+
+    def test_small_index_with_digit_beyond_squared_float_range(self):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(40):
+            for N, M in ((1, 10**155), (3, 10**160), (10**15, 10**160), (2**53 + 1, 10**200)):
+                exact = mpmath.log1p(mpmath.mpf(1) / (M * (M + 2))) / mpmath.log1p(mpmath.mpf(1) / N)
+                assert abs(frequency(N, M) - exact) <= 2 * math.ulp(float(exact)), (N, M)
+
 
 class TestKhinchinMean:
     def test_frozen_references(self):
@@ -418,9 +434,10 @@ class TestConstantsBatch:
         with mpmath.workdps(30):
             exact = _mpmath_digit_mean(mpmath, N, None)
             assert abs(mpmath.log(report.khinchin) - exact) <= 2e-15 * abs(exact)
+            # every order, r = 0.9 included, to within a few units of double rounding
             for r, value in report.holder_means:
                 exact = _mpmath_digit_mean(mpmath, N, r)
-                assert abs(mpmath.mpf(value) ** r - exact) <= 2e-15 * exact, r
+                assert abs(mpmath.mpf(value) ** r - exact) <= 4e-16 * exact, r
 
     def test_tail_bounds_meet_tol(self, batch):
         for report in batch.values():
@@ -443,7 +460,8 @@ class TestHurwitzZeta:
     """The local Hurwitz zeta over the (s, a) pairs the digit-mean series use:
     s = 2..12 (geometric mean) and 2..9 - r (power means), a = K + 1 for the
     doubling cutoffs K >= 128 and the index-driven cutoffs K = N + 32, and
-    a few starts next to those."""
+    a few starts next to those.  The order is passed as t = s - 1, formed as
+    (s0 - 1) - r, and checked against mpmath at s = 1 + t exactly."""
 
     ORDERS = (-1.0, -0.5, 0.5, 0.9, -160.0, -90.0, -50.0, -1e-9, 0.999999)
     STARTS = [2**e + 1 for e in range(6, 25)] + [
@@ -452,10 +470,12 @@ class TestHurwitzZeta:
 
     def test_against_mpmath(self):
         mpmath = pytest.importorskip("mpmath")
-        ss = [float(s) for s in range(2, 13)] + [s - r for r in self.ORDERS for s in range(2, 10)]
-        for s in ss:
+        ts = [float(s - 1) for s in range(2, 13)] + [(s - 1) - r for r in self.ORDERS
+                                                     for s in range(2, 10)]
+        for t in ts:
+            s = 1.0 + t
             for a in self.STARTS:
-                got = _hurwitz_zeta(s, a)
+                got = _hurwitz_zeta(t, a)
                 assert type(got) is float
                 digits = s * math.log10(a)  # zeta(s, a) < 10**-digits * (1 + a/(s-1))
                 if digits > 340:
@@ -464,14 +484,14 @@ class TestHurwitzZeta:
                 # mpmath loses relative accuracy on tiny values unless the
                 # working precision also covers their exponent
                 with mpmath.workdps(30 + math.ceil(digits)):
-                    exact = mpmath.zeta(s, a)
-                    assert abs(mpmath.mpf(got) - exact) <= 4 * math.ulp(float(exact)), (s, a)
+                    exact = mpmath.zeta(1 + mpmath.mpf(t), a)
+                    assert abs(mpmath.mpf(got) - exact) <= 4 * math.ulp(float(exact)), (t, a)
 
     def test_underflow_returns_zero(self):
         # the power-mean orders s = 2..9 - r at r = -1000
         for s in range(2, 10):
             for a in self.STARTS:
-                assert _hurwitz_zeta(s + 1000.0, a) == 0.0
+                assert _hurwitz_zeta(s - 1 + 1000.0, a) == 0.0
 
 
 def test_import_leaves_scipy_unloaded():

@@ -23,7 +23,7 @@ from ncfrac import (
     lyapunov_const,
     sample_rational,
 )
-from ncfrac.dynamics import _steps
+from ncfrac.dynamics import _walk
 
 # digit sequences admissible for the index drawn alongside them
 admissible_cases = st.integers(min_value=1, max_value=10).flatmap(
@@ -108,7 +108,10 @@ def test_reduced_ratio_matches_evaluate(case):
 def test_kernel_numerators_pair_with_denominators(N, q, p, depth):
     # B_n*p_{n-1} + B_{n-1}*p_n = N**n * q on every prefix of the unreduced orbit
     x = Fraction(p % q or 1, q)
-    steps = list(_steps(x, N, depth))
+    steps, p_n, p_prev = [], x.numerator, x.denominator
+    while p_n and len(steps) < depth:  # the list kernel stepped one digit at a time
+        (a,), p_n, p_prev = _walk(p_n, p_prev, N, 1)
+        steps.append((a, p_n, p_prev))
     trace = convergent_sequence([a for a, _, _ in steps], N)
     B = [conv.B for conv in trace.convergents]
     for n, (_, p_n, p_prev) in enumerate(steps, start=1):

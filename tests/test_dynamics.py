@@ -16,7 +16,7 @@ from ncfrac import (
     gauss_map,
     orbit,
 )
-from ncfrac.dynamics import _steps
+from ncfrac.dynamics import _walk
 
 # map index and a random rational in [0, 1)
 unit_fractions = st.tuples(
@@ -31,6 +31,15 @@ deep_fractions = st.tuples(
     st.integers(min_value=1, max_value=2**256),
     st.integers(min_value=0, max_value=2**256),
 ).map(lambda t: (t[0], Fraction(t[2] % t[1], t[1])))
+
+
+def kernel_steps(x, N, max_terms):
+    """(digit, p, q) per step, from the list kernel stepped one digit at a time."""
+    p, q, out = x.numerator, x.denominator, []
+    while p and len(out) < max_terms:
+        (a,), p, q = _walk(p, q, N, 1)
+        out.append((a, p, q))
+    return out
 
 
 def reference_walk(x, N, max_terms):
@@ -218,8 +227,12 @@ def test_kernel_matches_reduced_reference(case, depth):
     # depth cuts deep orbits part way and leaves short ones whole
     N, x = case
     reference = reference_walk(x, N, depth)
-    steps = list(_steps(x, N, depth))
+    steps = kernel_steps(x, N, depth)
     assert [(a, Fraction(p, q)) for a, p, q in steps] == reference
+    # one call walks the same orbit and ends on the same unreduced image
+    digits, p, q = _walk(x.numerator, x.denominator, N, depth)
+    assert digits == [a for a, _, _ in steps]
+    assert (p, q) == (steps[-1][1:] if steps else (x.numerator, x.denominator))
     exp = expand(x, N, depth)
     assert exp.coeffs == tuple(a for a, _ in reference)
     final = reference[-1][1] if reference else x

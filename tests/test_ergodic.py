@@ -6,6 +6,7 @@ and sit well inside the tolerances the estimators are designed for.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -57,6 +58,25 @@ class TestSampling:
 
     def test_same_seed_same_expansion(self):
         assert sample_orbit(CFG, 3) == sample_orbit(CFG, 3)
+
+    @pytest.mark.parametrize("bits", [64, 72, 96, 100, 512, 513, 4096])
+    def test_raw_stream_matches_generator_bytes(self, bits):
+        # the draws Generator.bytes makes, on the same per-trial bit generator
+        def reference(cfg, trial):
+            seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,))
+            rng = np.random.Generator(np.random.PCG64(seq))
+            nbytes = (bits + 7) // 8
+            q = 1 << (bits - 1) | int.from_bytes(rng.bytes(nbytes), "big") & ((1 << (bits - 1)) - 1)
+            while True:
+                p = int.from_bytes(rng.bytes(nbytes), "big") & ((1 << bits) - 1)
+                if 1 <= p < q:
+                    return p, q
+
+        for seed in (0, 1, 11, 900, 2**40 + 3):
+            cfg = SampleConfig(N=1, denominator_bits=bits, seed=seed)
+            for trial in range(31):
+                p, q = reference(cfg, trial)
+                assert sample_rational(cfg, trial) == Fraction(p, q), (seed, trial)
 
     def test_different_trials_differ(self):
         assert sample_rational(CFG, 0) != sample_rational(CFG, 1)
