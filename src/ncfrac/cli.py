@@ -1,8 +1,8 @@
 """Command-line surface: `ncfrac expand|constants|verify`.
 
 Non-interactive by design: every subcommand emits a machine-readable report
-(JSON with a config echo, CSV rows, or a plain-text table) and the exit
-status tells scripts what happened: 0 success / all checks passed,
+(JSON echoing every flag but --output, CSV rows, or a plain-text table) and
+the exit status tells scripts what happened: 0 success / all checks passed,
 1 a verification check failed its tolerance, 2 usage or input error.
 
 Fractions are accepted only as exact "p/q" strings, never as decimals, so
@@ -37,7 +37,16 @@ TOLERANCES = {
     "ulam": 0.01,            # absolute L1 error
 }
 
-SUITES = ("birkhoff", "levy", "lyapunov", "frequencies", "bounds", "ulam")
+#: The observable requests of each Monte Carlo suite at index n, in row order
+#: (see ergodic.orbit_estimates); bounds and ulam check exact orbits and the grid.
+ORBIT_REQUESTS = {
+    "birkhoff": lambda n: [("log-digit", None), ("digit-indicator", None)],
+    "levy": lambda n: [("denominator-growth", None)],
+    "lyapunov": lambda n: [("log-derivative", None)],
+    "frequencies": lambda n: [("digit-indicator", m) for m in range(n, n + 3)],
+}
+
+SUITES = (*ORBIT_REQUESTS, "bounds", "ulam")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -67,10 +76,6 @@ def _parse_n_values(text: str) -> list[int]:
     return out
 
 
-def _parse_r_values(text: str) -> list[float]:
-    return [float(chunk) for chunk in text.split(",")]
-
-
 def _fraction_log10(value: Fraction) -> Optional[float]:
     """log10 of a non-negative fraction; None (JSON null) for an exact zero."""
     if value == 0:
@@ -79,10 +84,10 @@ def _fraction_log10(value: Fraction) -> Optional[float]:
 
 
 # --------------------------------------------------------------------------
-# subcommands: each returns (results, config_echo, exit_code)
+# subcommands: each returns (results, exit_code)
 
 
-def _cmd_expand(args) -> tuple[list[dict], dict, int]:
+def _cmd_expand(args) -> tuple[list[dict], int]:
     x = _parse_fraction(args.x)
     expansion = expand(x, args.n, args.max_terms)
     result: dict = {
@@ -107,16 +112,13 @@ def _cmd_expand(args) -> tuple[list[dict], dict, int]:
                     "log10_abs_error": _fraction_log10(err),
                 }
             )
-    config = {"x": args.x, "n": args.n, "max_terms": args.max_terms}
-    return [result], config, 0
+    return [result], 0
 
 
-def _cmd_constants(args) -> tuple[list[dict], dict, int]:
+def _cmd_constants(args) -> tuple[list[dict], int]:
     reports = constants.ConstantsReport.compute_many(
-        _parse_n_values(args.n), _parse_r_values(args.r), args.tol)
-    results = [report.to_record() for report in reports]
-    config = {"n": args.n, "r": args.r, "tol": args.tol}
-    return results, config, 0
+        _parse_n_values(args.n), [float(chunk) for chunk in args.r.split(",")], args.tol)
+    return [report.to_record() for report in reports], 0
 
 
 def _row(suite: str, n: int, quantity: str, value, target, tolerance: float, deviation,
@@ -134,45 +136,27 @@ def _check(suite: str, n: int, report: ergodic.EstimateReport, tolerance: float,
                 **report.to_record())
 
 
-def _suite_birkhoff(ns, args) -> list[dict]:
-    return [
-        _check("birkhoff", n, report, TOLERANCES["birkhoff"])
-        for n in ns
-        for report in ergodic.orbit_estimates(
-            _sample_config(n, args), [("log-digit", None), ("digit-indicator", None)])
-    ]
+def _suite_orbits(suite: str, ns, args) -> list[dict]:
+    """The suite's rows from one ergodic.orbit_estimates call per index.
 
-
-def _suite_lyapunov(ns, args) -> list[dict]:
-    return [
-        _check("lyapunov", n, ergodic.lyapunov_estimate(_sample_config(n, args)),
-               TOLERANCES["lyapunov"])
-        for n in ns
-    ]
-
-
-def _suite_levy(ns, args) -> list[dict]:
+    Every denominator-growth report is followed by its floor row: the
+    slowest trial's rate against the worst-case denominator bound.
+    """
     rows = []
     for n in ns:
-        report = ergodic.levy_estimate(_sample_config(n, args))
-        rate, bound = report.extras["min_rate"], report.extras["denominator_bound"]
-        rows.append(_check("levy", n, report, TOLERANCES["levy"]))
-        rows.append(_row("levy", n, "denominator-growth[floor]", rate, bound,
-                         TOLERANCES["levy-floor"], max(0.0, bound - rate),
-                         rate >= bound - TOLERANCES["levy-floor"]))
+        cfg = ergodic.SampleConfig(N=n, trials=args.trials, denominator_bits=args.bits,
+                                   max_terms=args.max_terms, seed=args.seed)
+        for report in ergodic.orbit_estimates(cfg, ORBIT_REQUESTS[suite](n)):
+            rows.append(_check(suite, n, report, TOLERANCES[suite]))
+            if report.quantity == "denominator-growth":
+                rate, bound = report.extras["min_rate"], report.extras["denominator_bound"]
+                rows.append(_row(suite, n, "denominator-growth[floor]", rate, bound,
+                                 TOLERANCES["levy-floor"], max(0.0, bound - rate),
+                                 rate >= bound - TOLERANCES["levy-floor"]))
     return rows
 
 
-def _suite_frequencies(ns, args) -> list[dict]:
-    return [
-        _check("frequencies", n, report, TOLERANCES["frequencies"])
-        for n in ns
-        for report in ergodic.orbit_estimates(
-            _sample_config(n, args), [("digit-indicator", m) for m in range(n, n + 3)])
-    ]
-
-
-def _suite_bounds(ns, args) -> list[dict]:
+def _suite_bounds(ns) -> list[dict]:
     rows = []
     for n in ns:
         lyap_bound, denom_bound = constants.lower_bounds(n)
@@ -185,50 +169,26 @@ def _suite_bounds(ns, args) -> list[dict]:
     return rows
 
 
-def _suite_ulam(ns, args) -> list[dict]:
-    rows = []
-    for n in ns:
-        model = ulam.build_model(n, args.cells)
-        rows.append(_row("ulam", n, f"density-l1[m={args.cells}]", model.l1_error, 0.0,
-                         TOLERANCES["ulam"], model.l1_error, model.l1_error < TOLERANCES["ulam"],
-                         iterations=model.iterations))
-    return rows
+def _ulam_row(n: int, cells: int) -> dict:
+    """One grid check; its m-by-m model is freed before the next index builds one."""
+    model = ulam.build_model(n, cells)
+    return _row("ulam", n, f"density-l1[m={cells}]", model.l1_error, 0.0, TOLERANCES["ulam"],
+                model.l1_error, model.l1_error < TOLERANCES["ulam"], iterations=model.iterations)
 
 
-_SUITE_RUNNERS = {
-    "birkhoff": _suite_birkhoff,
-    "levy": _suite_levy,
-    "lyapunov": _suite_lyapunov,
-    "frequencies": _suite_frequencies,
-    "bounds": _suite_bounds,
-    "ulam": _suite_ulam,
-}
-
-
-def _sample_config(n: int, args) -> ergodic.SampleConfig:
-    return ergodic.SampleConfig(N=n, trials=args.trials, denominator_bits=args.bits,
-                                max_terms=args.max_terms, seed=args.seed)
-
-
-def _cmd_verify(args) -> tuple[list[dict], dict, int]:
+def _cmd_verify(args) -> tuple[list[dict], int]:
     ns = _parse_n_values(args.n)
-    rows = _SUITE_RUNNERS[args.suite](ns, args)
-    config = {key: getattr(args, key)
-              for key in ("suite", "n", "trials", "bits", "max_terms", "seed", "cells")}
-    failed = [row for row in rows if not row["pass"]]
-    return rows, config, 1 if failed else 0
+    if args.suite == "bounds":
+        rows = _suite_bounds(ns)
+    elif args.suite == "ulam":
+        rows = [_ulam_row(n, args.cells) for n in ns]
+    else:
+        rows = _suite_orbits(args.suite, ns, args)
+    return rows, 1 if any(not row["pass"] for row in rows) else 0
 
 
 # --------------------------------------------------------------------------
 # output rendering
-
-
-def _render_json(command: str, config: dict, results: list[dict]) -> str:
-    return json.dumps(
-        {"command": command, "config": config, "results": results},
-        sort_keys=True,
-        indent=2,
-    ) + "\n"
 
 
 def _format_cell(value) -> str:
@@ -242,26 +202,21 @@ def _format_cell(value) -> str:
 
 
 def _render_csv(command: str, results: list[dict]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+    """A header row, then one row per convergent, (N, quantity) pair or verify check."""
     if command == "expand":
-        writer.writerow(["n", "A", "B", "ratio", "abs_error", "log10_abs_error"])
-        for result in results:
-            for conv in result["convergents"]:
-                writer.writerow([_format_cell(conv[key]) for key in
-                                 ("n", "A", "B", "ratio", "abs_error", "log10_abs_error")])
+        header = ["n", "A", "B", "ratio", "abs_error", "log10_abs_error"]
+        rows = [conv for result in results for conv in result["convergents"]]
     elif command == "constants":
-        writer.writerow(["N", "quantity", "value"])
-        for record in results:
-            for key, value in record.items():
-                if key == "N":
-                    continue
-                writer.writerow([record["N"], key, _format_cell(value)])
+        header = ["N", "quantity", "value"]
+        rows = [{"N": record["N"], "quantity": key, "value": value}
+                for record in results for key, value in record.items() if key != "N"]
     else:  # verify
         header = ["suite", "N", "quantity", "value", "target", "deviation", "tolerance", "pass"]
-        writer.writerow(header)
-        for row in results:
-            writer.writerow([_format_cell(row.get(key, "")) for key in header])
+        rows = results
+    buffer = io.StringIO()
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows([_format_cell(row[key]) for key in header] for row in rows)
     return buffer.getvalue()
 
 
@@ -342,14 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        results, config, code = args.func(args)
+        results, code = args.func(args)
     except (ValueError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    config = dict(config, format=args.format)
     if args.format == "json":
-        text = _render_json(args.command, config, results)
+        config = {key: value for key, value in vars(args).items()
+                  if key not in ("command", "func", "output")}
+        text = json.dumps({"command": args.command, "config": config, "results": results},
+                          sort_keys=True, indent=2) + "\n"
     elif args.format == "csv":
         text = _render_csv(args.command, results)
     else:

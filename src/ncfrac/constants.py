@@ -29,7 +29,9 @@ down from an anchor.  The dilogarithm uses Landen's identity,
 Everything here is double precision; all advertised tolerances are >= 1e-12
 and the tail bounds dominate rounding.  A power mean whose undivided series,
 about N**(r-1)/(1-r), is below the smallest normal double is rejected,
-since that sum underflows or loses its digits.
+since that sum underflows or loses its digits; so is one of order
+0 < |r| < 1e-6, since S = 1 + r*E[log digit] + ... and S**(1/r) multiplies
+the rounding of S by 1/|r|.
 """
 
 from __future__ import annotations
@@ -221,6 +223,9 @@ def _holder_series(ns, r: float, tol: float) -> dict[int, tuple[float, int, floa
     if not math.isfinite(r):
         raise ValueError(f"order r must be a finite number or >= 1, got {r}")
     for N in ns:
+        if abs(r) < 1e-6:
+            raise ValueError(f"holder_mean[r={r:g}] at N = {N} is out of reach: orders 0 < |r| < "
+                             "1e-6 lose about 1e-16/|r| to rounding; r = 0 is the geometric mean")
         # the undivided sum is about N**(r-1)/(1-r); below the normal range it loses digits
         if float(N) ** (r - 1) < sys.float_info.min:
             raise ValueError(f"holder_mean[r={r:g}] at N = {N} is out of reach: order r = {r} "
@@ -239,8 +244,9 @@ def holder_mean(N: int, r: float, tol: float = 1e-12) -> float:
 
     Diverges for r >= 1 (the plain digit mean is already infinite); the
     divergence is signalled by returning math.inf explicitly.  r = 0 is the
-    geometric mean, :func:`khinchin`.  ``tol`` bounds the truncation error
-    of the underlying series (the r-th power of the result).
+    geometric mean, :func:`khinchin`; 0 < |r| < 1e-6 raises ValueError.
+    ``tol`` bounds the truncation error of the underlying series (the r-th
+    power of the result).
     """
     return ConstantsReport.compute(N, (r,), tol).holder_means[0][1]
 

@@ -352,7 +352,7 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
     log_ratio = math.log(q) - math.log(z.denominator)
     lyap_report = EstimateReport.from_value(
         "lyapunov[const-digit]",
-        (depth * math.log(N) - 2.0 * log_ratio) / depth,
+        _trial_mean("log-derivative", None, coeffs, log_ratio, 0.0, N),
         lyap_bound,
         trials=1,
         terms=depth,

@@ -91,7 +91,10 @@ def _psi_tail(a: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
     """
     x = np.maximum(a, _PSI_SERIES_FROM) + x0
     y = x + h
-    total = np.log1p(h / x) + h / (2 * x * y)
+    # x*y overflows for N*m above about 1.3e154, where the term is below 1e-300
+    # and h/inf = 0 is right to double precision
+    with np.errstate(over="ignore"):
+        total = np.log1p(h / x) + h / (2 * x * y)
     for power, coeff in enumerate(_PSI_SERIES, start=1):
         total -= coeff * (y ** (-2 * power) - x ** (-2 * power))
     for k in range(int(a.min()), _PSI_SERIES_FROM):
@@ -114,9 +117,9 @@ def _row_blocks(rows: np.ndarray):
 def _cell_masses(N: int, m: int) -> np.ndarray:
     """Exact all-branch cell-transition matrix before row normalisation."""
     c = np.arange(m + 1, dtype=np.float64) / m  # row and column edges alike
-    # K_i = floor(N/t_i) in exact integers; K_0 is infinite, and standing in
-    # K_1 for it leaves row 0 without an upper boundary branch
-    K = np.array([N * m // i for i in (1, *range(1, m + 1))], dtype=np.float64)
+    # K_i = floor(N/t_i) in exact integers; branch K_0 = inf clips to nothing
+    # and its psi tail is 0
+    K = np.array([math.inf, *(N * m // i for i in range(1, m + 1))], dtype=np.float64)
     P = np.empty((m, m))
     for rows in _row_blocks(np.arange(m)):
         P[rows] = _clipped(N, K[rows + 1, None], c, rows)
@@ -124,7 +127,6 @@ def _cell_masses(N: int, m: int) -> np.ndarray:
         P[rows] += _clipped(N, K[rows, None], c, rows)
 
     x0, h = c[:-1], 1.0 / m
-    P[0] += N * _psi_tail(K[1:2, None] + 1, x0, h)[0]
     for rows in _row_blocks(np.flatnonzero(K[:-1] - K[1:] >= 2)):
         P[rows] += N * (_psi_tail(K[rows + 1, None] + 1, x0, h) - _psi_tail(K[rows, None], x0, h))
     P *= m
@@ -193,15 +195,10 @@ def density_l1_error(N: int, m: int, pi: np.ndarray) -> float:
     return float(np.abs(pi * m - analytic).sum() / m)
 
 
-def build_model(
-    N: int,
-    m: int,
-    tol: float = 1e-13,
-    max_iters: int = 100_000,
-) -> UlamModel:
+def build_model(N: int, m: int) -> UlamModel:
     """Assemble the matrix, solve for its stationary vector, score the recovery."""
     P = transition_matrix(N, m)
-    pi, iterations = _power_iteration(P, tol, max_iters)
+    pi, iterations = _power_iteration(P, 1e-13, 100_000)  # stationary's defaults
     return UlamModel(
         N=N,
         m=m,

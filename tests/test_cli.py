@@ -92,7 +92,7 @@ class TestConstants:
         assert record["N"] == 2
         assert record["holder_mean[r=2]"] == "divergent"
         assert isinstance(record["holder_mean[r=-1]"], float)
-        assert payload["config"]["r"] == "-1,2"
+        assert payload["config"] == {"n": "2", "r": "-1,2", "tol": 1e-12, "format": "json"}
 
     def test_large_index_limit(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--n", "1000000", "--format", "json")
@@ -148,6 +148,15 @@ class TestConstants:
             code, out, err = run_cli(capsys, "constants", *argv)
             assert code == 2 and out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize("r", ["1e-7", "1e-16", "-1e-20", "1e-320"])
+    def test_order_too_close_to_zero_exits_2(self, capsys, r):
+        # S**(1/r) would multiply the series' rounding by 1/|r|
+        code, out, err = run_cli(capsys, "constants", "--n", "1,50", f"--r={r}")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: holder_mean\[r=\S+\] at N = 1 is out of reach: "
+                            r".*r = 0 is the geometric mean\n", err), err
 
 
 class TestIndexBeyondFloatRange:
@@ -251,6 +260,31 @@ class TestVerify:
         quantities = {row["quantity"] for row in rows}
         assert quantities == {"denominator-growth", "denominator-growth[floor]"}
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("N", [10**160, 10**300], ids=["1e160", "1e300"])
+    def test_ulam_index_beyond_squared_float_range(self, capsys, N):
+        # x*y in the psi tail overflows here, where the term it divides is below 1e-300
+        code, out, err = run_cli(capsys, "verify", "ulam", "--n", str(N), "--cells", "16",
+                                 "--format", "json")
+        assert code == 0 and err == ""
+        (row,) = json.loads(out, parse_constant=_reject_constant)["results"]
+        assert row["pass"] is True
+
+    def test_suite_choices(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--help"])
+        assert info.value.code == 0
+        assert "{birkhoff,levy,lyapunov,frequencies,bounds,ulam}" in capsys.readouterr().out
+
+    def test_config_echo_is_every_flag_but_output(self, capsys, tmp_path):
+        out_path = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, "verify", "bounds", "--n", "1,2", "--format", "json",
+                             "--output", str(out_path))
+        assert code == 0
+        assert json.loads(out_path.read_text())["config"] == {
+            "suite": "bounds", "n": "1,2", "trials": 200, "bits": 512, "max_terms": 10000,
+            "seed": 0, "cells": 512, "format": "json"}
+
     def test_unknown_suite_usage_error(self):
         with pytest.raises(SystemExit) as info:
             main(["verify", "entropy"])
@@ -273,9 +307,16 @@ def test_json_output_is_strict(capsys, argv):
     json.loads(out, parse_constant=_reject_constant)
 
 
+DATA = Path(__file__).parent / "data"
+
 # verify output at 96 bits (an odd number of 32-bit words per draw) and 512 bits,
-# captured before the sampler read PCG64's raw words instead of Generator.bytes
-VERIFY_GOLDEN = json.loads((Path(__file__).parent / "data" / "verify_golden.json").read_text())
+# captured before the sampler read PCG64's raw words instead of Generator.bytes;
+# the bounds and ulam entries were captured before the Monte Carlo suites became
+# one table of observable requests
+VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())
+# exact CSV and plain text of a suite with floor rows and of the bounds suite,
+# captured at the same point as the bounds and ulam JSON
+VERIFY_TEXT_GOLDEN = json.loads((DATA / "verify_text_golden.json").read_text())
 
 
 @pytest.mark.parametrize("command", sorted(VERIFY_GOLDEN))
@@ -283,6 +324,14 @@ def test_verify_json_golden(capsys, command):
     code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
     assert code == VERIFY_GOLDEN[command]["exit"]
     assert json.loads(out) == VERIFY_GOLDEN[command]["output"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "plain"])
+@pytest.mark.parametrize("command", sorted(VERIFY_TEXT_GOLDEN))
+def test_verify_text_golden(capsys, command, fmt):
+    code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
+    assert code == VERIFY_TEXT_GOLDEN[command]["exit"]
+    assert out == VERIFY_TEXT_GOLDEN[command][fmt]
 
 
 class TestReproducibility:

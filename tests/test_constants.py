@@ -212,6 +212,22 @@ class TestHolderMean:
     def test_order_zero_dispatches_to_geometric(self):
         assert holder_mean(3, 0.0) == khinchin(3)
 
+    def test_orders_near_zero_against_mpmath(self):
+        # S**(1/r) multiplies the rounding of S by 1/|r|: about 5e-9 at |r| = 1e-6
+        mpmath = pytest.importorskip("mpmath")
+        for N in (1, 50):
+            for r in (-1e-4, 1e-4, -1e-6, 1e-6):
+                with mpmath.workdps(30):
+                    exact = _mpmath_digit_mean(mpmath, N, r) ** (1 / mpmath.mpf(r))
+                    assert abs(holder_mean(N, r) - exact) <= 1e-8 * exact, (N, r)
+
+    def test_orders_too_close_to_zero_rejected(self):
+        for r in (1e-7, -1e-7, 1e-16, -1e-20, 1e-320, 5e-324):
+            with pytest.raises(ValueError, match="r = 0 is the geometric mean"):
+                holder_mean(2, r)
+            with pytest.raises(ValueError, match="out of reach"):
+                ConstantsReport.compute(2, rs=(-1.0, r))
+
     def test_continuity_at_order_zero(self):
         for N in (1, 4):
             below = holder_mean(N, -1e-4)
