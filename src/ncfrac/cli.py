@@ -117,7 +117,7 @@ def _cmd_expand(args) -> tuple[list[dict], int]:
 
 def _cmd_constants(args) -> tuple[list[dict], int]:
     reports = constants.ConstantsReport.compute_many(
-        _parse_n_values(args.n), [float(chunk) for chunk in args.r.split(",")], args.tol)
+        _parse_n_values(args.n), [float(chunk) for chunk in args.r.split(",")])
     return [report.to_record() for report in reports], 0
 
 
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_const = sub.add_parser("constants", help="closed-form constants for a range of N")
     p_const.add_argument("--n", default="1", help='indices: "3", "1..5" or "1,2,5" (default 1)')
     p_const.add_argument("--r", default="-1,0.5", help="comma list of power-mean orders")
-    p_const.add_argument("--tol", type=float, default=1e-12, help="series tail tolerance")
     add_io_flags(p_const)
     p_const.set_defaults(func=_cmd_constants)
 

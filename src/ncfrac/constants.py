@@ -9,9 +9,8 @@ log(1 + 1/N), of a summand decaying like log(k)/k**2 or k**(r-2).  It is
 summed directly up to a cutoff K; the rest comes from the 1/k expansion of
 log(1 + 1/(k*(k+2))), whose term-by-term sums are Hurwitz zeta values from a
 local Euler-Maclaurin evaluation (``_hurwitz_zeta``; no scipy).  The first
-omitted order bounds the truncation: ``tol`` controls that bound, and the
-report diagnostics carry it.  Summation by parts drops the log(k) factor of
-the geometric-mean sum:
+omitted order bounds the truncation, and the report diagnostics carry it.
+Summation by parts drops the log(k) factor of the geometric-mean sum:
 
     sum_{k>=N} log(k) * log(1 + 1/(k*(k+2)))
         = log(N)*log(1+1/N) + sum_{k>N} log(1+1/(k-1)) * log(1+1/k),
@@ -20,14 +19,14 @@ whose summand is even in 1/k, so its tail expansion has only even orders.
 
 One path, ``_suffix_series``, serves every index of a request, walking them
 down from the largest with one compensated running sum: a near index adds
-just the terms in between, a far one starts a new anchor (K doubled until
-the tail bound meets ``tol``, plus the zeta tail at K + 1).  The bound over
-log(1 + 1/N) shrinks as N falls, so it meets ``tol`` for every index carried
-down from an anchor.  The dilogarithm uses Landen's identity,
+just the terms in between, a far one starts a new anchor: K doubled until
+the bound is below 2**-60 times the first summand, which is below S as all
+summands are positive, plus the zeta tail at K + 1.  S grows as N falls, so
+the bound stays below 2**-60 * S for every index carried down from it, far
+under the rounding of S.  The dilogarithm uses Landen's identity,
 -Li2(-x) = Li2(x/(1+x)) + log(1+x)**2/2: positive terms in x/(1+x) <= 1/2.
 
-Everything here is double precision; all advertised tolerances are >= 1e-12
-and the tail bounds dominate rounding.  A power mean whose undivided series,
+Everything here is double precision.  A power mean whose undivided series,
 about N**(r-1)/(1-r), is below the smallest normal double is rejected,
 since that sum underflows or loses its digits; so is one of order
 0 < |r| < 1e-6, since S = 1 + r*E[log digit] + ... and S**(1/r) multiplies
@@ -177,10 +176,10 @@ def _hurwitz_zeta(t: float, a: float) -> float:
     return head + a**-t * (1.0 / t + (0.5 + s * h / a) / a)
 
 
-def _suffix_series(ns, offset: int, summand, tail, tol: float):
+def _suffix_series(ns, offset: int, summand, tail):
     """{N: (S / log(1 + 1/N), terms summed directly, tail bound)} for each distinct N
-    in ns, S = sum_{k >= N + offset} summand(k), with the tail expansion ``tail``
-    of the summand as (s - 1, c) pairs (see the module docstring).
+    in ns, S = sum_{k >= N + offset} summand(k), every term positive, with the
+    tail expansion ``tail`` of the summand as (s - 1, c) pairs (module docstring).
     """
     *tail, (t_next, c_next) = tail
     out = {}
@@ -189,8 +188,8 @@ def _suffix_series(ns, offset: int, summand, tail, tol: float):
     for N in sorted(set(ns), reverse=True):
         first, scale = N + offset, math.log1p(1.0 / N)
         if stop - first > _CARRY_TERMS:
-            K = max(N + 32, 128)
-            while (omitted := c_next * _hurwitz_zeta(t_next, K + 1)) > tol * scale and K < 1 << 24:
+            K, limit = max(N + 32, 128), 2.0**-60 * float(summand(float(first)))
+            while (omitted := c_next * _hurwitz_zeta(t_next, K + 1)) > limit:
                 K *= 2
             total, comp, stop = sum(c * _hurwitz_zeta(t, K + 1) for t, c in tail), 0.0, K + 1
         k = float(first) + np.arange(stop - first, dtype=np.float64)
@@ -202,53 +201,64 @@ def _suffix_series(ns, offset: int, summand, tail, tol: float):
     return out
 
 
-def _geometric_mean_series(ns, tol: float) -> dict[int, tuple[float, int, float]]:
+def _geometric_mean_series(ns) -> dict[int, tuple[float, int, float]]:
     """log of the digit geometric mean; {N: (value, terms used, tail bound)}."""
     sums = _suffix_series(ns, 1, lambda k: np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k),
-                          [(s - 1, c) for s, c in _GEOMEAN_TAIL], tol)
+                          [(s - 1, c) for s, c in _GEOMEAN_TAIL])
     return {N: (math.log(N) + mean, terms, bound) for N, (mean, terms, bound) in sums.items()}
 
 
-def khinchin(N: int, tol: float = 1e-12) -> float:
+def khinchin(N: int) -> float:
     """Almost-sure geometric mean of the digits.
 
-    ``tol`` bounds the series truncation error of the *logarithm* of the
-    result (so roughly its relative error).
+    Its logarithm's series is cut below its rounding (module docstring).
     """
-    return ConstantsReport.compute(N, (), tol).khinchin
+    return ConstantsReport.compute(N, ()).khinchin
 
 
-def _holder_series(ns, r: float, tol: float) -> dict[int, tuple[float, int, float]]:
+def _order_label(r: float) -> str:
+    """r as it appears in a key: f"{r:g}" where that reads back as r, else repr(r)."""
+    label = f"{r:g}"
+    return label if float(label) == r else repr(r)
+
+
+def _check_order(N: int, r: float) -> None:
+    """Reject 0 < |r| < 1e-6, where S**(1/r) multiplies the rounding of S by 1/|r|."""
+    if 0 < abs(r) < 1e-6:
+        raise ValueError(f"holder_mean[r={_order_label(r)}] at N = {N} is out of reach: "
+                         "orders 0 < |r| < 1e-6 lose about 1e-16/|r| to rounding; "
+                         "r = 0 is the geometric mean")
+
+
+def _holder_series(ns, r: float) -> dict[int, tuple[float, int, float]]:
     """Power mean of order r; {N: (value, terms, tail bound of the mean of digit**r)}."""
     if not math.isfinite(r):
         raise ValueError(f"order r must be a finite number or >= 1, got {r}")
+    name = f"holder_mean[r={_order_label(r)}]"
     for N in ns:
-        if abs(r) < 1e-6:
-            raise ValueError(f"holder_mean[r={r:g}] at N = {N} is out of reach: orders 0 < |r| < "
-                             "1e-6 lose about 1e-16/|r| to rounding; r = 0 is the geometric mean")
+        _check_order(N, r)
         # the undivided sum is about N**(r-1)/(1-r); below the normal range it loses digits
         if float(N) ** (r - 1) < sys.float_info.min:
-            raise ValueError(f"holder_mean[r={r:g}] at N = {N} is out of reach: order r = {r} "
+            raise ValueError(f"{name} at N = {N} is out of reach: order r = {r} "
                              "is too negative, N**(r-1) underflows")
     sums = _suffix_series(ns, 0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
-                          [((s - 1) - r, c) for s, c in _LOG1P_BRANCH_TAIL], tol)
+                          [((s - 1) - r, c) for s, c in _LOG1P_BRANCH_TAIL])
     # the exponent 1/r as fl(1/r) plus its rounding, formed in rationals
-    q, name = 1.0 / r, f"holder_mean[r={r:g}]"
+    q = 1.0 / r
     d = float(1 / Fraction(r) - Fraction(q))
     return {N: (_checked(name, N, _root, mean, q, d), terms, bound)
             for N, (mean, terms, bound) in sums.items()}
 
 
-def holder_mean(N: int, r: float, tol: float = 1e-12) -> float:
+def holder_mean(N: int, r: float) -> float:
     """Power mean of order r of the digits.
 
     Diverges for r >= 1 (the plain digit mean is already infinite); the
     divergence is signalled by returning math.inf explicitly.  r = 0 is the
-    geometric mean, :func:`khinchin`; 0 < |r| < 1e-6 raises ValueError.
-    ``tol`` bounds the truncation error of the underlying series (the r-th
-    power of the result).
+    geometric mean, :func:`khinchin`; 0 < |r| < 1e-6 raises ValueError.  The
+    series of the r-th power is cut below its rounding (module docstring).
     """
-    return ConstantsReport.compute(N, (r,), tol).holder_means[0][1]
+    return ConstantsReport.compute(N, (r,)).holder_means[0][1]
 
 
 def dilog_theta(x: float) -> float:
@@ -337,21 +347,17 @@ class ConstantsReport:
     diagnostics: dict[str, tuple[int, float]] = field(default_factory=dict)
 
     @classmethod
-    def compute(cls, N: int, rs: Sequence[float] = (-1.0, 0.5),
-                tol: float = 1e-12) -> "ConstantsReport":
-        return cls.compute_many([N], rs, tol)[0]
+    def compute(cls, N: int, rs: Sequence[float] = (-1.0, 0.5)) -> "ConstantsReport":
+        return cls.compute_many([N], rs)[0]
 
     @classmethod
-    def compute_many(
-        cls, ns: Sequence[int], rs: Sequence[float] = (-1.0, 0.5), tol: float = 1e-12
-    ) -> list["ConstantsReport"]:
+    def compute_many(cls, ns: Sequence[int],
+                     rs: Sequence[float] = (-1.0, 0.5)) -> list["ConstantsReport"]:
         """One report per requested index, in request order, duplicates kept;
         each digit-mean series is summed once for all of them."""
         ns = [check_index(N) for N in ns]
-        if not 0 < tol < math.inf:
-            raise ValueError(f"tol must be a finite number > 0, got {tol}")
-        geometric = _geometric_mean_series(ns, tol)
-        series = {r: _holder_series(ns, r, tol) for r in rs if not (r >= 1 or r == 0)}
+        geometric = _geometric_mean_series(ns)
+        series = {r: _holder_series(ns, r) for r in rs if not (r >= 1 or r == 0)}
         reports = []
         for N in ns:
             khin = _checked("khinchin", N, math.exp, geometric[N][0])
@@ -364,7 +370,7 @@ class ConstantsReport:
                     holder.append((r, khin))
                 else:
                     holder.append((r, series[r][N][0]))
-                    diagnostics[f"holder[r={r:g}]"] = series[r][N][1:]
+                    diagnostics[f"holder[r={_order_label(r)}]"] = series[r][N][1:]
             lam = levy_lambda(N)
             lyap = 2.0 * lam + math.log(N)
             lyap_bound, denom_bound = lower_bounds(N)
@@ -381,7 +387,8 @@ class ConstantsReport:
             "N", "khinchin", "levy_lambda", "levy_L", "lyapunov", "loch",
             "lower_bound_lyapunov", "lower_bound_denominator")}
         for r, value in self.holder_means:
-            record[f"holder_mean[r={r:g}]"] = "divergent" if math.isinf(value) else value
+            key = f"holder_mean[r={_order_label(r)}]"
+            record[key] = "divergent" if math.isinf(value) else value
         for name, (terms, bound) in self.diagnostics.items():
             record[f"{name}_terms"] = terms
             record[f"{name}_tail_bound"] = bound

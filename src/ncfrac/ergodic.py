@@ -154,6 +154,7 @@ def _check_observable(cfg: SampleConfig, observable: str, param) -> tuple[str, O
             raise ValueError("digit-power needs the exponent r")
         if param == 0:
             raise ValueError("order 0 is the geometric mean; use the log-digit observable")
+        constants._check_order(cfg.N, param)
     elif observable == "digit-indicator":
         param = cfg.N if param is None else param
         if param < cfg.N:
@@ -197,7 +198,7 @@ def _divergence_report(cfg: SampleConfig, r: float, digits: list[int]) -> Estima
     if not marks or marks[-1] != len(powers):
         marks.append(len(powers))
     return EstimateReport.from_value(
-        f"digit-power[r={r:g}]",
+        f"digit-power[r={constants._order_label(r)}]",
         math.inf,
         math.inf,
         trials=cfg.trials,
@@ -222,9 +223,10 @@ def _estimate_report(cfg: SampleConfig, observable: str, param, means: list[floa
         value = constants._checked(quantity, cfg.N, math.exp, grand)
         extras = {"scale": "log", "log_value": grand}
     elif observable == "digit-power":
-        quantity, value = f"digit-power[r={param:g}]", grand ** (1.0 / param)
+        label = constants._order_label(param)
+        quantity, value = f"digit-power[r={label}]", grand ** (1.0 / param)
         target = constants.holder_mean(cfg.N, param)
-        extras = {"scale": f"power[{param:g}]", "power_mean": grand}
+        extras = {"scale": f"power[{label}]", "power_mean": grand}
     elif observable == "digit-indicator":
         quantity, target = f"digit-frequency[M={param}]", constants.frequency(cfg.N, param)
     elif observable == "log-derivative":

@@ -44,15 +44,17 @@ __all__ = [
 ]
 
 MAX_CELLS = 2048  # dense matrices only; finer grids are out of scope
-_BLOCK = 8  # rows assembled together: 130 KB per temporary at MAX_CELLS, in cache
+_BLOCK = 6  # rows per block: 98 KB temporaries at MAX_CELLS, below glibc's 128 KiB mmap threshold
 
 # psi(x) ~ log x - 1/(2x) - sum_k B_2k/(2k x^2k): coefficients of x^-2 .. x^-8
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240)
 _PSI_SERIES_FROM = 32  # the omitted x^-10 term is below 1e-17 from here on
+_STEP_TOL = 1e-13  # power iteration stops at an L1 step below this ...
+_MAX_ITERATIONS = 100_000  # ... or raises PowerIterationError after this many
 
 
 class PowerIterationError(RuntimeError):
-    """Power iteration failed to reach the requested step tolerance."""
+    """Power iteration failed to reach its step tolerance."""
 
     def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
@@ -147,38 +149,27 @@ def transition_matrix(N: int, m: int) -> np.ndarray:
     return P
 
 
-def stationary(
-    model_or_matrix: Union[UlamModel, np.ndarray],
-    tol: float = 1e-13,
-    max_iters: int = 100_000,
-) -> np.ndarray:
-    """Stationary probability vector by left power iteration from uniform.
-
-    Stops when the L1 step change drops below tol; raises
-    :class:`PowerIterationError` (with iteration diagnostics) otherwise.
+def stationary(P: np.ndarray) -> np.ndarray:
+    """Stationary probability vector of a row-stochastic matrix by left power
+    iteration from uniform, stopping at an L1 step below 1e-13; raises
+    :class:`PowerIterationError` (with iteration diagnostics) after 100,000.
     """
-    pi, _ = _power_iteration(_matrix_of(model_or_matrix), tol, max_iters)
+    pi, _ = _power_iteration(np.asarray(P, dtype=np.float64))
     return pi
 
 
-def _matrix_of(model_or_matrix) -> np.ndarray:
-    if isinstance(model_or_matrix, UlamModel):
-        return model_or_matrix.matrix
-    return np.asarray(model_or_matrix, dtype=np.float64)
-
-
-def _power_iteration(P: np.ndarray, tol: float, max_iters: int) -> tuple[np.ndarray, int]:
+def _power_iteration(P: np.ndarray) -> tuple[np.ndarray, int]:
     m = P.shape[0]
     pi = np.full(m, 1.0 / m)
     step = math.inf
-    for iteration in range(1, max_iters + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         nxt = pi @ P
         nxt /= nxt.sum()
         step = float(np.abs(nxt - pi).sum())
         pi = nxt
-        if step < tol:
+        if step < _STEP_TOL:
             return pi, iteration
-    raise PowerIterationError(max_iters, step)
+    raise PowerIterationError(_MAX_ITERATIONS, step)
 
 
 def _midpoint_density(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -198,7 +189,7 @@ def density_l1_error(N: int, m: int, pi: np.ndarray) -> float:
 def build_model(N: int, m: int) -> UlamModel:
     """Assemble the matrix, solve for its stationary vector, score the recovery."""
     P = transition_matrix(N, m)
-    pi, iterations = _power_iteration(P, 1e-13, 100_000)  # stationary's defaults
+    pi, iterations = _power_iteration(P)
     return UlamModel(
         N=N,
         m=m,

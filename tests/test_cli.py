@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ncfrac import ConstantsReport
+from ncfrac import ConstantsReport, holder_mean
 from ncfrac.cli import main
 
 
@@ -92,7 +92,7 @@ class TestConstants:
         assert record["N"] == 2
         assert record["holder_mean[r=2]"] == "divergent"
         assert isinstance(record["holder_mean[r=-1]"], float)
-        assert payload["config"] == {"n": "2", "r": "-1,2", "tol": 1e-12, "format": "json"}
+        assert payload["config"] == {"n": "2", "r": "-1,2", "format": "json"}
 
     def test_large_index_limit(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--n", "1000000", "--format", "json")
@@ -107,17 +107,22 @@ class TestConstants:
         code, _, err = run_cli(capsys, "constants", "--n", "0..2")
         assert code == 2
 
-    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-12", "inf"])
-    def test_bad_tol_exits_2(self, capsys, tol):
-        code, out, err = run_cli(capsys, "constants", f"--tol={tol}", "--format", "json")
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-
     @pytest.mark.parametrize("r", ["nan", "-inf", "-1,nan"])
     def test_non_finite_order_exits_2(self, capsys, r):
         code, out, err = run_cli(capsys, "constants", f"--r={r}", "--format", "json")
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_orders_equal_to_six_digits_keep_their_own_keys(self, capsys):
+        # f"{r:g}" prints both orders as 0.5; the second is labelled by its repr
+        code, out, _ = run_cli(capsys, "constants", "--n", "2", "--r=0.5,0.5000001",
+                               "--format", "json")
+        assert code == 0
+        (record,) = json.loads(out)["results"]
+        assert record["holder_mean[r=0.5]"] == holder_mean(2, 0.5)
+        assert record["holder_mean[r=0.5000001]"] == holder_mean(2, 0.5000001)
+        assert record["holder_mean[r=0.5]"] != record["holder_mean[r=0.5000001]"]
+        assert "holder[r=0.5]_terms" in record and "holder[r=0.5000001]_terms" in record
 
     def test_infinite_order_is_divergent(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--r=inf", "--format", "json")

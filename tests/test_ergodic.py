@@ -132,6 +132,15 @@ class TestBirkhoffEstimates:
         with pytest.raises(ValueError):
             birkhoff_estimate(CFG, "digit-power", r=0.0)
 
+    @pytest.mark.parametrize("r", [1e-7, -1e-7, 1e-320])
+    def test_power_order_too_close_to_zero_rejected_before_sampling(self, monkeypatch, r):
+        def no_sampling(cfg, trial):
+            raise AssertionError("sampled an orbit for an order that is out of reach")
+
+        monkeypatch.setattr("ncfrac.ergodic.sample_rational", no_sampling)
+        with pytest.raises(ValueError, match="out of reach: .*r = 0 is the geometric mean"):
+            orbit_estimates(SampleConfig(N=1), [("log-digit", None), ("digit-power", r)])
+
     def test_deviation_fields_consistent(self):
         report = birkhoff_estimate(CFG, "log-digit")
         assert report.abs_deviation == abs(report.value - report.target)
