@@ -23,7 +23,15 @@ just the terms in between, a far one starts a new anchor: K doubled until
 the bound is below 2**-60 times the first summand, which is below S as all
 summands are positive, plus the zeta tail at K + 1.  S grows as N falls, so
 the bound stays below 2**-60 * S for every index carried down from it, far
-under the rounding of S.  The dilogarithm uses Landen's identity,
+under the rounding of S.
+
+The walk is done in whole arrays, with the same roundings as a term-by-term
+loop: the summand is evaluated once over an anchor's run of indices; each
+index's new terms are one term or numpy's pairwise ``.sum()`` of its slice;
+``np.cumsum`` over [zeta tail, segments...] gives every running total, since
+add accumulation goes left to right; and the Neumaier error of each step,
+formed elementwise with ``np.where``, accumulates the same way into the
+compensation.  The dilogarithm uses Landen's identity,
 -Li2(-x) = Li2(x/(1+x)) + log(1+x)**2/2: positive terms in x/(1+x) <= 1/2.
 
 Everything here is double precision.  A power mean whose undivided series,
@@ -35,6 +43,7 @@ the rounding of S by 1/|r|.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -74,6 +83,10 @@ _LOG1P_BRANCH_TAIL = ((2, 1.0), (3, -2.0), (4, 3.5), (5, -6.0), (6, 31 / 3), (7,
 # carried across: its terms cost about the ~8 zeta calls of a fresh anchor, and
 # a sparse request such as N = 1 and 10**9 never builds the array in between.
 _CARRY_TERMS = 2048
+# The most terms carried across in one array pass; a longer run of indices is
+# split, so the arrays stay in cache however many indices a request spaces apart
+# (at 2**16, 1000 indices 2048 apart took 1.5 times as long as one pass each).
+_CHUNK_TERMS = 1 << 13
 
 # Euler-Maclaurin corrections B_2j/(2j)! for j = 6..1, nested from the inside
 # out; each is paired with 2j - 1 because the order j + 1 correction carries
@@ -182,22 +195,50 @@ def _suffix_series(ns, offset: int, summand, tail):
     tail expansion ``tail`` of the summand as (s - 1, c) pairs (module docstring).
     """
     *tail, (t_next, c_next) = tail
-    out = {}
-    total = comp = 0.0  # the running sum is total + comp (Neumaier; all terms are positive)
-    stop = math.inf  # first index already in the running sum
+    # the indices from the largest down, as runs (starts an anchor, [N, ...]); a run
+    # that would span over _CHUNK_TERMS ends early and the next carries its sum on
+    runs, prev, size = [], math.inf, 0
     for N in sorted(set(ns), reverse=True):
-        first, scale = N + offset, math.log1p(1.0 / N)
-        if stop - first > _CARRY_TERMS:
-            K, limit = max(N + 32, 128), 2.0**-60 * float(summand(float(first)))
+        gap, prev = prev - N, N
+        if gap > _CARRY_TERMS or size + gap > _CHUNK_TERMS:
+            runs.append((gap > _CARRY_TERMS, [N]))
+            size = 0
+        else:
+            runs[-1][1].append(N)
+            size += gap
+    out = {}
+    for anchor, run in runs:
+        if anchor:
+            first = run[0] + offset
+            K, limit = max(run[0] + 32, 128), 2.0**-60 * float(summand(float(first)))
             while (omitted := c_next * _hurwitz_zeta(t_next, K + 1)) > limit:
                 K *= 2
             total, comp, stop = sum(c * _hurwitz_zeta(t, K + 1) for t, c in tail), 0.0, K + 1
-        k = float(first) + np.arange(stop - first, dtype=np.float64)
-        segment = float(summand(k).sum())
-        running = total + segment
-        comp += (total - running) + segment if total >= segment else (segment - running) + total
-        total, stop = running, first
-        out[N] = ((total + comp) / scale, K - first + 1, omitted / scale)
+        # index i adds the terms k = first_i, ..., stop_i - 1, stop_i being the first k
+        # already summed, as float(first_i) + j: above 2**53 that sum rounds, and the
+        # terms round as a per-index array would
+        firsts = [N + offset for N in run]
+        lengths = [stop - firsts[0]] + [a - b for a, b in zip(firsts, firsts[1:])]
+        bounds = [0, *itertools.accumulate(lengths)]
+        j = np.arange(bounds[-1], dtype=float) - np.repeat(np.array(bounds[:-1], float), lengths)
+        terms = summand(np.repeat([float(f) for f in firsts], lengths) + j)
+        steps = np.empty(len(run) + 1)  # [total, segment 0, segment 1, ...]
+        steps[0], steps[1:] = total, terms[bounds[:-1]]
+        for i, (begin, end) in enumerate(zip(bounds, bounds[1:]), 1):
+            if end - begin > 1:
+                steps[i] = terms[begin:end].sum()
+        # the running sum is total + comp (Neumaier; all terms are positive); cumsum
+        # adds left to right, so each step rounds as a scalar loop would
+        totals = np.cumsum(steps)
+        before, after, segments = totals[:-1], totals[1:], steps[1:]
+        errors = np.where(before >= segments, (before - after) + segments,
+                          (segments - after) + before)
+        steps[0], steps[1:] = comp, errors  # the segments are spent
+        comps = np.cumsum(steps)
+        total, comp, stop = totals[-1], comps[-1], firsts[-1]
+        for N, first, S in zip(run, firsts, (after + comps[1:]).tolist()):
+            scale = math.log1p(1.0 / N)
+            out[N] = (S / scale, K - first + 1, omitted / scale)
     return out
 
 
@@ -223,7 +264,10 @@ def _order_label(r: float) -> str:
 
 
 def _check_order(N: int, r: float) -> None:
-    """Reject 0 < |r| < 1e-6, where S**(1/r) multiplies the rounding of S by 1/|r|."""
+    """Reject orders that are neither finite nor divergent (nan, -inf) and
+    0 < |r| < 1e-6, where S**(1/r) multiplies the rounding of S by 1/|r|."""
+    if math.isnan(r) or r == -math.inf:
+        raise ValueError(f"order r must be a finite number or >= 1, got {r}")
     if 0 < abs(r) < 1e-6:
         raise ValueError(f"holder_mean[r={_order_label(r)}] at N = {N} is out of reach: "
                          "orders 0 < |r| < 1e-6 lose about 1e-16/|r| to rounding; "
@@ -232,11 +276,10 @@ def _check_order(N: int, r: float) -> None:
 
 def _holder_series(ns, r: float) -> dict[int, tuple[float, int, float]]:
     """Power mean of order r; {N: (value, terms, tail bound of the mean of digit**r)}."""
-    if not math.isfinite(r):
-        raise ValueError(f"order r must be a finite number or >= 1, got {r}")
     name = f"holder_mean[r={_order_label(r)}]"
+    if ns:
+        _check_order(ns[0], r)  # N-independent; N only names an index in the message
     for N in ns:
-        _check_order(N, r)
         # the undivided sum is about N**(r-1)/(1-r); below the normal range it loses digits
         if float(N) ** (r - 1) < sys.float_info.min:
             raise ValueError(f"{name} at N = {N} is out of reach: order r = {r} "
@@ -333,11 +376,13 @@ class ConstantsReport:
     ``holder_means`` pairs each requested order r with its value; divergent
     orders (r >= 1) carry math.inf, which the flat record renders as the
     string "divergent" so no bare infinity leaks into serialized output.
+    ``order_labels`` names each order in the record's keys, as _order_label.
     """
 
     N: int
     khinchin: float
     holder_means: tuple[tuple[float, float], ...]
+    order_labels: tuple[str, ...]
     levy_lambda: float
     levy_L: float
     lyapunov: float
@@ -358,19 +403,20 @@ class ConstantsReport:
         ns = [check_index(N) for N in ns]
         geometric = _geometric_mean_series(ns)
         series = {r: _holder_series(ns, r) for r in rs if not (r >= 1 or r == 0)}
+        labels = tuple(_order_label(r) for r in rs)
         reports = []
         for N in ns:
             khin = _checked("khinchin", N, math.exp, geometric[N][0])
             diagnostics = {"khinchin": geometric[N][1:]}
             holder: list[tuple[float, float]] = []
-            for r in rs:
+            for r, label in zip(rs, labels):
                 if r >= 1:
                     holder.append((r, math.inf))
                 elif r == 0:
                     holder.append((r, khin))
                 else:
                     holder.append((r, series[r][N][0]))
-                    diagnostics[f"holder[r={_order_label(r)}]"] = series[r][N][1:]
+                    diagnostics[f"holder[r={label}]"] = series[r][N][1:]
             lam = levy_lambda(N)
             lyap = 2.0 * lam + math.log(N)
             lyap_bound, denom_bound = lower_bounds(N)
@@ -378,7 +424,7 @@ class ConstantsReport:
                 N=N, khinchin=khin, holder_means=tuple(holder), levy_lambda=lam,
                 levy_L=lam + math.log(N), lyapunov=lyap, loch=math.log(10) / lyap,
                 lower_bound_lyapunov=lyap_bound, lower_bound_denominator=denom_bound,
-                diagnostics=diagnostics))
+                order_labels=labels, diagnostics=diagnostics))
         return reports
 
     def to_record(self) -> dict:
@@ -386,9 +432,8 @@ class ConstantsReport:
         record: dict = {key: getattr(self, key) for key in (
             "N", "khinchin", "levy_lambda", "levy_L", "lyapunov", "loch",
             "lower_bound_lyapunov", "lower_bound_denominator")}
-        for r, value in self.holder_means:
-            key = f"holder_mean[r={_order_label(r)}]"
-            record[key] = "divergent" if math.isinf(value) else value
+        for (_, value), label in zip(self.holder_means, self.order_labels):
+            record[f"holder_mean[r={label}]"] = "divergent" if math.isinf(value) else value
         for name, (terms, bound) in self.diagnostics.items():
             record[f"{name}_terms"] = terms
             record[f"{name}_tail_bound"] = bound

@@ -1,6 +1,7 @@
 """Command-line surface: golden output schemas, exit codes, reproducibility."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -337,6 +338,24 @@ def test_verify_text_golden(capsys, command, fmt):
     code, out, _ = run_cli(capsys, *command.split(), "--format", fmt)
     assert code == VERIFY_TEXT_GOLDEN[command]["exit"]
     assert out == VERIFY_TEXT_GOLDEN[command][fmt]
+
+
+# constants stdout in every format, captured before the digit-mean series were
+# summed in whole arrays per anchor; outputs over 64 KiB are kept as a sha256
+CONSTANTS_GOLDEN = json.loads((DATA / "constants_golden.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+@pytest.mark.parametrize("command", sorted(CONSTANTS_GOLDEN), ids=lambda command: re.sub(
+    r"\d{16,}", lambda digits: f"<{len(digits[0])} digits>", command))
+def test_constants_golden(capsys, command, fmt):
+    golden = CONSTANTS_GOLDEN[command]
+    code, out, err = run_cli(capsys, "constants", *command.split(), "--format", fmt)
+    assert (code, err) == (golden["exit"], golden["stderr"])
+    if isinstance(golden[fmt], dict):
+        assert hashlib.sha256(out.encode()).hexdigest() == golden[fmt]["sha256"]
+    else:
+        assert out == golden[fmt]
 
 
 class TestReproducibility:

@@ -12,6 +12,7 @@ reported tail bounds, plus mpmath's Hurwitz zeta for the local one.
 """
 
 import functools
+import itertools
 import json
 import math
 import os
@@ -22,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import spence
 
@@ -41,6 +44,7 @@ from ncfrac import (
     lower_bounds,
     lyapunov_const,
 )
+from ncfrac import constants
 from ncfrac.cli import main
 from ncfrac.constants import _hurwitz_zeta
 
@@ -485,6 +489,110 @@ class TestConstantsBatch:
         # N = 1 lies more than 2048 terms below 10**5, so it is anchored as if alone
         first, _ = ConstantsReport.compute_many([1, 10**5])
         assert first == ConstantsReport.compute(1)
+
+
+def _loop_suffix_series(ns, offset, summand, tail):
+    """The scalar walk that _suffix_series replaced: one numpy evaluation and one
+    Neumaier step per index, in Python floats; its oracle, bit for bit."""
+    *tail, (t_next, c_next) = tail
+    out = {}
+    total = comp = 0.0
+    stop = math.inf
+    for N in sorted(set(ns), reverse=True):
+        first, scale = N + offset, math.log1p(1.0 / N)
+        if stop - first > constants._CARRY_TERMS:
+            K, limit = max(N + 32, 128), 2.0**-60 * float(summand(float(first)))
+            while (omitted := c_next * _hurwitz_zeta(t_next, K + 1)) > limit:
+                K *= 2
+            total, comp, stop = sum(c * _hurwitz_zeta(t, K + 1) for t, c in tail), 0.0, K + 1
+        k = float(first) + np.arange(stop - first, dtype=np.float64)
+        segment = float(summand(k).sum())
+        running = total + segment
+        comp += (total - running) + segment if total >= segment else (segment - running) + total
+        total, stop = running, first
+        out[N] = ((total + comp) / scale, K - first + 1, omitted / scale)
+    return out
+
+
+def _series_args(r):
+    """(offset, summand, tail) of the geometric-mean series (r None) or the power mean."""
+    if r is None:
+        return (1, lambda k: np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k),
+                [(s - 1, c) for s, c in constants._GEOMEAN_TAIL])
+    return (0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
+            [((s - 1) - r, c) for s, c in constants._LOG1P_BRANCH_TAIL])
+
+
+def _bits(sums):
+    return {N: (value.hex(), terms, bound.hex()) for N, (value, terms, bound) in sums.items()}
+
+
+@st.composite
+def _requests(draw):
+    """Dense runs, steps straddling the carry limit, runs above 2**53 where
+    float(first) + j rounds, and single indices; then some duplicates, shuffled."""
+    base = draw(st.integers(1, 10**7))
+    ns = draw(st.one_of(
+        st.integers(1, 400).map(lambda n: list(range(base, base + n))),
+        st.lists(st.sampled_from([1, 2, 2047, 2048, 2049]) | st.integers(1, 5000),
+                 max_size=40).map(lambda steps: list(itertools.accumulate([base, *steps]))),
+        st.lists(st.integers(2**53 - 40, 2**53 + 40), min_size=1, max_size=30),
+        st.integers(1, 10**300).map(lambda N: [N]),
+    ))
+    ns += draw(st.lists(st.sampled_from(ns), max_size=4))
+    return draw(st.permutations(ns))
+
+
+class TestSuffixSeries:
+    @settings(max_examples=150, deadline=None)
+    @given(ns=_requests(), r=st.none() | st.sampled_from([-20.0, -1.0, -0.5, 0.5, 0.9])
+           | st.floats(-3.0, 0.99), chunk=st.sampled_from([1, 3000, 1 << 13]))
+    def test_matches_scalar_walk_bit_for_bit(self, ns, r, chunk):
+        # the power mean's own precondition: its undivided sum is a normal double
+        assume(r is None or all(float(N) ** (r - 1) >= sys.float_info.min for N in ns))
+        args = _series_args(r)
+        expected = _bits(_loop_suffix_series(ns, *args))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(constants, "_CHUNK_TERMS", chunk)
+            assert _bits(constants._suffix_series(ns, *args)) == expected
+
+    @pytest.mark.parametrize("ns, r", [
+        # dense runs where float(first) + j rounds; forming every k from the lowest
+        # first instead moves the last bit of some sums at 2**60, r = -0.5
+        (range(2**53 - 60, 2**53 + 60), None),
+        (range(2**53 - 60, 2**53 + 60), -1.0),
+        (range(2**60 - 60, 2**60 + 60), -0.5),
+        # 12 indices 2048 apart: one anchor carried across more than _CHUNK_TERMS terms
+        (range(1, 2048 * 12, 2048), None),
+        (range(1, 2048 * 12, 2048), 0.5),
+    ])
+    def test_fixed_requests_match_scalar_walk(self, ns, r):
+        args = _series_args(r)
+        assert _bits(constants._suffix_series(ns, *args)) == _bits(_loop_suffix_series(ns, *args))
+
+
+class TestOrderLabels:
+    def test_signed_zero_orders_keep_their_own_keys(self):
+        for report in ConstantsReport.compute_many([1, 2], rs=(-0.0, 0.0, -1.0)):
+            record = report.to_record()
+            assert record["holder_mean[r=-0]"] == record["holder_mean[r=0]"] == report.khinchin
+            assert [key for key in record if key.startswith("holder_mean")] == [
+                "holder_mean[r=-0]", "holder_mean[r=0]", "holder_mean[r=-1]"]
+
+    def test_labels_worked_out_once_per_order(self, monkeypatch):
+        label, calls = constants._order_label, []
+
+        def counting(r):
+            calls.append(r)
+            return label(r)
+
+        monkeypatch.setattr(constants, "_order_label", counting)
+        rs = (-1.0, 0.0, 0.5, 2.0)
+        records = [report.to_record()
+                   for report in ConstantsReport.compute_many(range(1, 60), rs=rs)]
+        assert len(records) == 59 and "holder[r=0.5]_terms" in records[-1]
+        # once for the report keys, once more inside each summed series
+        assert len(calls) == len(rs) + 2
 
 
 class TestHurwitzZeta:

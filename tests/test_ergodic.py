@@ -141,6 +141,29 @@ class TestBirkhoffEstimates:
         with pytest.raises(ValueError, match="out of reach: .*r = 0 is the geometric mean"):
             orbit_estimates(SampleConfig(N=1), [("log-digit", None), ("digit-power", r)])
 
+    @pytest.mark.parametrize("r", [math.nan, -math.inf])
+    def test_non_finite_power_order_rejected_before_sampling(self, monkeypatch, r):
+        calls = []
+        monkeypatch.setattr("ncfrac.ergodic.sample_rational",
+                            lambda cfg, trial: calls.append(trial))
+        with pytest.raises(ValueError, match="order r must be a finite number or >= 1"):
+            orbit_estimates(SampleConfig(N=1), [("log-digit", None), ("digit-power", r)])
+        assert calls == []
+
+    def test_infinite_power_order_still_divergent(self, monkeypatch):
+        calls = []
+
+        def counting(cfg, trial):
+            calls.append(trial)
+            return sample_rational(cfg, trial)
+
+        monkeypatch.setattr("ncfrac.ergodic.sample_rational", counting)
+        cfg = SampleConfig(N=1, trials=4, denominator_bits=128, seed=1)
+        (report,) = orbit_estimates(cfg, [("digit-power", math.inf)])
+        assert calls == [0, 1, 2, 3]
+        assert report.quantity == "digit-power[r=inf]" and report.extras["diverges"] is True
+        assert report.to_record()["value"] == "divergent"
+
     def test_deviation_fields_consistent(self):
         report = birkhoff_estimate(CFG, "log-digit")
         assert report.abs_deviation == abs(report.value - report.target)
