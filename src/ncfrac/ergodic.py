@@ -102,6 +102,8 @@ class EstimateReport:
 
     def to_record(self) -> dict:
         def clean(v):
+            if isinstance(v, list):
+                return [clean(x) for x in v]
             if isinstance(v, float) and not math.isfinite(v):
                 return "divergent" if math.isinf(v) else None
             return v
@@ -190,10 +192,21 @@ def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, x_n
     return (n * math.log(N) - log_ratio - math.log1p(x_n * rho)) / n
 
 
+def _digit_power(a: int, r: float) -> float:
+    """a**r as exp(r log a); 1 at digit 1 even for r = inf, inf past the float range."""
+    if a == 1:
+        return 1.0
+    try:
+        return math.exp(r * math.log(a))
+    except OverflowError:
+        return math.inf
+
+
 def _divergence_report(cfg: SampleConfig, r: float, digits: list[int]) -> EstimateReport:
     """Running means of digit**r pooled over trials; no finite estimate exists."""
-    powers = np.array([math.exp(r * math.log(a)) for a in digits])
-    running = np.cumsum(powers) / np.arange(1, len(powers) + 1)
+    powers = np.array([_digit_power(a, r) for a in digits])
+    with np.errstate(over="ignore"):  # a running sum past the float range is inf
+        running = np.cumsum(powers) / np.arange(1, len(powers) + 1)
     marks = [n for n in (100, 300, 1000, 3000, 10000, 30000, 100000) if n <= len(powers)]
     if not marks or marks[-1] != len(powers):
         marks.append(len(powers))

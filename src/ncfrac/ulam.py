@@ -13,10 +13,13 @@ independently.
 
 Every branch is included; nothing is truncated.  With K_i = floor(N/t_i) at
 row edge t_i = i/m (K_0 = infinity), row i meets only branches
-K_{i+1} <= k <= K_i.  The two boundary branches are clipped to the cell; the
-branches strictly between lie inside it, and their sum over k telescopes to
-a difference of digamma steps psi(a + c + 1/m) - psi(a + c), evaluated
-without cancellation by :func:`_psi_tail`.
+K_{i+1} <= k <= K_i.  The matrix is built one row at a time.  The two
+boundary branches are clipped to the cell, each only over its own columns,
+(N/t_{i+1} - k)m to (N/t_i - k)m, widened by 2 + k*m/2^50 columns because
+k + c rounds by up to k/2^53; outside that window the clip is exactly 0.  The
+branches strictly between lie inside the cell, and their sum over k
+telescopes to a difference of digamma steps psi(a + c + 1/m) - psi(a + c),
+evaluated without cancellation by :func:`_psi_tail`.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ __all__ = [
 ]
 
 MAX_CELLS = 2048  # dense matrices only; finer grids are out of scope
-_BLOCK = 6  # rows per block: 98 KB temporaries at MAX_CELLS, below glibc's 128 KiB mmap threshold
 
 # psi(x) ~ log x - 1/(2x) - sum_k B_2k/(2k x^2k): coefficients of x^-2 .. x^-8
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240)
@@ -105,32 +107,28 @@ def _psi_tail(a: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
     return total
 
 
-def _clipped(N: int, k: np.ndarray, c: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Length of each row's cell inside branch k's preimage of each column."""
-    u = N / (k + c)  # decreasing; column j's preimage is (u[j+1], u[j]]
-    hi = np.minimum(u[:, :-1], c[rows + 1, None])
-    return np.maximum(0.0, hi - np.maximum(u[:, 1:], c[rows, None]))
-
-
-def _row_blocks(rows: np.ndarray):
-    return (rows[s : s + _BLOCK] for s in range(0, len(rows), _BLOCK))
-
-
 def _cell_masses(N: int, m: int) -> np.ndarray:
     """Exact all-branch cell-transition matrix before row normalisation."""
     c = np.arange(m + 1, dtype=np.float64) / m  # row and column edges alike
-    # K_i = floor(N/t_i) in exact integers; branch K_0 = inf clips to nothing
-    # and its psi tail is 0
-    K = np.array([math.inf, *(N * m // i for i in range(1, m + 1))], dtype=np.float64)
-    P = np.empty((m, m))
-    for rows in _row_blocks(np.arange(m)):
-        P[rows] = _clipped(N, K[rows + 1, None], c, rows)
-    for rows in _row_blocks(np.flatnonzero(K[:-1] > K[1:])):
-        P[rows] += _clipped(N, K[rows, None], c, rows)
-
-    x0, h = c[:-1], 1.0 / m
-    for rows in _row_blocks(np.flatnonzero(K[:-1] - K[1:] >= 2)):
-        P[rows] += N * (_psi_tail(K[rows + 1, None] + 1, x0, h) - _psi_tail(K[rows, None], x0, h))
+    # N/t_i, and K_i = floor(N/t_i) in exact integers; N/t_0 = K_0 = inf, and
+    # branch K_0 clips to nothing and has psi tail 0
+    ratio = [math.inf, *(N * m / i for i in range(1, m + 1))]
+    K = [math.inf, *(float(N * m // i) for i in range(1, m + 1))]
+    P = np.zeros((m, m))
+    for i in range(m):
+        for k in (K[i + 1], K[i]) if 0 < i and K[i] > K[i + 1] else (K[i + 1],):
+            # branch k's column window, as in the module docstring; an edge can
+            # be +-inf, so it is clamped before int()
+            pad = 2 + k * m * 2**-50
+            lo = int(min(max((ratio[i + 1] - k) * m - pad, 0.0), m))
+            hi = int(min(max((ratio[i] - k) * m + pad, 0.0), m))
+            # column j's preimage is (u[j+1], u[j]]; u decreases, so clipping it
+            # to the row turns each difference into the overlap's length
+            u = np.minimum(np.maximum(N / (k + c[lo : hi + 1]), c[i]), c[i + 1])
+            P[i, lo:hi] += u[:-1] - u[1:]
+        if K[i] - K[i + 1] >= 2:
+            tails = _psi_tail(np.array([[K[i + 1] + 1], [K[i]]]), c[:-1], 1.0 / m)
+            P[i] += N * (tails[0] - tails[1])
     P *= m
     return P
 

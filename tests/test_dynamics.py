@@ -195,6 +195,16 @@ def test_digits_admissible(case):
     assert all(a >= N for a in expand(x, N).coeffs)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=60), st.integers(min_value=2, max_value=2**64),
+       st.integers(min_value=0, max_value=2**64))
+def test_last_digit_exceeds_index(N, q, p):
+    # the last image before 0 is N/a_n < 1, so no terminated expansion ends in digit N
+    exp = expand(Fraction(1 + p % (q - 1), q), N)
+    assert exp.terminated
+    assert exp.coeffs[-1] > N
+
+
 @settings(max_examples=150, deadline=None)
 @given(unit_fractions)
 def test_shift_property(case):

@@ -5,6 +5,7 @@ regression check; the bands were chosen after inspecting the seeded values
 and sit well inside the tolerances the estimators are designed for.
 """
 
+import json
 import math
 from fractions import Fraction
 
@@ -213,6 +214,25 @@ class TestDivergentObservable:
         report = birkhoff_estimate(cfg, "digit-power", r=2.0)
         means = report.extras["running_means"]
         assert means[-1] > 3 * means[0]
+
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0, 200.0, math.inf])
+    def test_divergent_record_is_strict_json(self, r):
+        # digit 1 to the power inf and digit powers past the float range are
+        # inf, never nan or an OverflowError
+        cfg = SampleConfig(N=1, trials=20, denominator_bits=128, seed=1)
+        report = birkhoff_estimate(cfg, "digit-power", r=r)
+        assert not any(math.isnan(v) for v in report.extras["running_means"])
+        json.dumps(report.to_record(), allow_nan=False)
+
+    @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
+    def test_running_means_are_the_pooled_power_sums(self, r):
+        cfg = SampleConfig(N=1, trials=20, denominator_bits=128, seed=1)
+        report = birkhoff_estimate(cfg, "digit-power", r=r)
+        digits = [a for trial in range(cfg.trials) for a in sample_orbit(cfg, trial).coeffs]
+        powers = np.array([math.exp(r * math.log(a)) for a in digits])
+        running = np.cumsum(powers) / np.arange(1, len(digits) + 1)
+        marks = report.extras["checkpoints"]
+        assert report.extras["running_means"] == [float(running[n - 1]) for n in marks]
 
     def test_divergent_record_serializes_without_inf(self):
         cfg = SampleConfig(N=1, trials=5, denominator_bits=128, seed=1)

@@ -1,6 +1,8 @@
 """Grid transfer-operator models: stochasticity, stationarity, density recovery."""
 
 import io
+import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,48 @@ from ncfrac import (
     transition_matrix,
     write_density_profile,
 )
-from ncfrac.ulam import _cell_masses
+from ncfrac.ulam import _cell_masses, _psi_tail
+
+_FLOAT_MAX = int(sys.float_info.max)
+
+
+def _blocked_cell_masses(N, m, block=6):
+    """The earlier assembly, kept as the bitwise reference: a full-width clip of
+    every row against its lower boundary branch, a second clip against the
+    upper one, then the psi tails, each over blocks of rows."""
+    def clipped(k, rows):
+        u = N / (k + c)
+        hi = np.minimum(u[:, :-1], c[rows + 1, None])
+        return np.maximum(0.0, hi - np.maximum(u[:, 1:], c[rows, None]))
+
+    def blocks(rows):
+        return (rows[s : s + block] for s in range(0, len(rows), block))
+
+    c = np.arange(m + 1, dtype=np.float64) / m
+    K = np.array([math.inf, *(N * m // i for i in range(1, m + 1))], dtype=np.float64)
+    P = np.empty((m, m))
+    for rows in blocks(np.arange(m)):
+        P[rows] = clipped(K[rows + 1, None], rows)
+    for rows in blocks(np.flatnonzero(K[:-1] > K[1:])):
+        P[rows] += clipped(K[rows, None], rows)
+    x0, h = c[:-1], 1.0 / m
+    for rows in blocks(np.flatnonzero(K[:-1] - K[1:] >= 2)):
+        P[rows] += N * (_psi_tail(K[rows + 1, None] + 1, x0, h) - _psi_tail(K[rows, None], x0, h))
+    P *= m
+    return P
+
+
+_ORACLE_CASES = [
+    *((N, m)
+      for m in (16, 17, 100, 512)
+      for N in (1, 2, 3, 5, 7, 10, 12, 100, 1000, 10**6, 10**9, 10**12, 4 * 10**12,
+                10**15, 10**18, 10**100)),
+    *((N, 2048) for N in (1, 10, 10**12, 10**15)),
+    # the last indices inside the float-range guard of transition_matrix; at
+    # 2048 cells each assembly there takes about 8 s, all in _psi_tail
+    *(pytest.param(_FLOAT_MAX // m - d, m, id=f"floatmax//{m}-{d}-{m}")
+      for m in (16, 17, 100, 512) for d in (0, 1)),
+]
 
 
 def _branch_reference(N, m):
@@ -63,6 +106,12 @@ class TestMatrixAssembly:
         P = _cell_masses(N, m)
         assert P.min() >= 0.0
         assert np.abs(P.sum(axis=1) - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("N, m", _ORACLE_CASES)
+    def test_matches_blocked_assembly_bitwise(self, N, m):
+        P = _cell_masses(N, m)
+        assert np.array_equal(P, _blocked_cell_masses(N, m))
+        assert not np.signbit(P).any()  # no -0.0 entry, which array_equal would miss
 
     @pytest.mark.parametrize("N, m", [(1, 64), (3, 64), (10, 32), (2, 17)])
     def test_matches_finite_branch_reference(self, N, m):
