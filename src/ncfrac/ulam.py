@@ -13,13 +13,25 @@ independently.
 
 Every branch is included; nothing is truncated.  With K_i = floor(N/t_i) at
 row edge t_i = i/m (K_0 = infinity), row i meets only branches
-K_{i+1} <= k <= K_i.  The matrix is built one row at a time.  The two
-boundary branches are clipped to the cell, each only over its own columns,
-(N/t_{i+1} - k)m to (N/t_i - k)m, widened by 2 + k*m/2^50 columns because
-k + c rounds by up to k/2^53; outside that window the clip is exactly 0.  The
-branches strictly between lie inside the cell, and their sum over k
-telescopes to a difference of digamma steps psi(a + c + 1/m) - psi(a + c),
-evaluated without cancellation by :func:`_psi_tail`.
+K_{i+1} <= k <= K_i.  The two boundary branches are clipped to the cell, each
+only over its own columns, (N/t_{i+1} - k)m to (N/t_i - k)m, widened by
+2 + k*m/2^50 columns because k + c rounds by up to k/2^53; outside that window
+the clip is exactly 0.  The branches strictly between lie inside the cell,
+and their sum over k telescopes to a difference of digamma steps
+psi(a + c + 1/m) - psi(a + c), evaluated without cancellation by
+:func:`_psi_tail`.
+
+Only the nonzero structure is built and iterated.  A row with such an interior
+run of branches is nonzero in every column; any other row is nonzero only in
+its boundary windows, about N m^2/(i(i+1)) columns together.  The rows up to
+the last one that has an interior run or whose windows span more than a third
+of the row, about sqrt(3 N m) of them, form a dense head built one row at a
+time.  Every later row keeps only its windows' columns and
+masses, assembled for all of them at once.  The stationary solve multiplies
+pi by the head and adds the tail with one weighted bincount, so no m-by-m
+array is formed: at m = 2048 it holds 2.3 MB at N = 1 and 6.6 MB at N = 10
+instead of 33.6 MB.  :func:`transition_matrix` densifies the same masses, in
+the same order, for the library and the tests.
 """
 
 from __future__ import annotations
@@ -29,7 +41,7 @@ import math
 import sys
 from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import IO, Union
+from typing import IO, Callable, Union
 
 import numpy as np
 
@@ -46,7 +58,7 @@ __all__ = [
     "write_density_profile",
 ]
 
-MAX_CELLS = 2048  # dense matrices only; finer grids are out of scope
+MAX_CELLS = 2048  # transition_matrix is dense; finer grids are out of scope
 
 # psi(x) ~ log x - 1/(2x) - sum_k B_2k/(2k x^2k): coefficients of x^-2 .. x^-8
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240)
@@ -72,7 +84,6 @@ class UlamModel:
 
     N: int
     m: int
-    matrix: np.ndarray
     stationary: np.ndarray
     l1_error: float
     iterations: int
@@ -99,42 +110,49 @@ def _psi_tail(a: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
     # and h/inf = 0 is right to double precision
     with np.errstate(over="ignore"):
         total = np.log1p(h / x) + h / (2 * x * y)
-    for power, coeff in enumerate(_PSI_SERIES, start=1):
-        total -= coeff * (y ** (-2 * power) - x ** (-2 * power))
+    # from a*h >= 2**56 on, each series term is below coeff * x**(1 - 2p) / h
+    # <= 2**-59 of total, so subtracting it cannot change total; skipping the
+    # series there also skips powers that underflow to subnormals, which are slow
+    if a.min() * h < 2.0**56:
+        for power, coeff in enumerate(_PSI_SERIES, start=1):
+            total -= coeff * (y ** (-2 * power) - x ** (-2 * power))
     for k in range(int(a.min()), _PSI_SERIES_FROM):
         z = k + x0
         total += np.where(k >= a, h / (z * (z + h)), 0.0)
     return total
 
 
-def _cell_masses(N: int, m: int) -> np.ndarray:
-    """Exact all-branch cell-transition matrix before row normalisation."""
-    c = np.arange(m + 1, dtype=np.float64) / m  # row and column edges alike
-    # N/t_i, and K_i = floor(N/t_i) in exact integers; N/t_0 = K_0 = inf, and
-    # branch K_0 clips to nothing and has psi tail 0
-    ratio = [math.inf, *(N * m / i for i in range(1, m + 1))]
-    K = [math.inf, *(float(N * m // i) for i in range(1, m + 1))]
-    P = np.zeros((m, m))
-    for i in range(m):
-        for k in (K[i + 1], K[i]) if 0 < i and K[i] > K[i + 1] else (K[i + 1],):
-            # branch k's column window, as in the module docstring; an edge can
-            # be +-inf, so it is clamped before int()
-            pad = 2 + k * m * 2**-50
-            lo = int(min(max((ratio[i + 1] - k) * m - pad, 0.0), m))
-            hi = int(min(max((ratio[i] - k) * m + pad, 0.0), m))
-            # column j's preimage is (u[j+1], u[j]]; u decreases, so clipping it
-            # to the row turns each difference into the overlap's length
-            u = np.minimum(np.maximum(N / (k + c[lo : hi + 1]), c[i]), c[i + 1])
-            P[i, lo:hi] += u[:-1] - u[1:]
-        if K[i] - K[i + 1] >= 2:
-            tails = _psi_tail(np.array([[K[i + 1] + 1], [K[i]]]), c[:-1], 1.0 / m)
-            P[i] += N * (tails[0] - tails[1])
-    P *= m
-    return P
+def _clip(N: int, x: np.ndarray, lo, hi) -> np.ndarray:
+    """Preimage edges N/x, x = k + c on branch k, clipped to the row [lo, hi];
+    computed in place in ``x``."""
+    np.divide(N, x, out=x)
+    np.maximum(x, lo, out=x)
+    return np.minimum(x, hi, out=x)
 
 
-def transition_matrix(N: int, m: int) -> np.ndarray:
-    """Row-stochastic m-by-m cell-transition matrix of the index-N map."""
+def _windows(N: int, m: int, K: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row, branch and column window [lo, hi) of every row's lower boundary
+    branch K_{i+1}, then of the upper one K_i of each row i > 0 with
+    K_i > K_{i+1}, as in the module docstring."""
+    ratio = np.array([math.inf, *(N * m / i for i in range(1, m + 1))])  # N/t_i
+    upper = np.flatnonzero(K[1:-1] > K[2:]) + 1
+    rows = np.concatenate([np.arange(m), upper])
+    k = np.concatenate([K[1:], K[upper]])
+    # an edge can be +-inf (a product overflows near the top of the float
+    # range, as a float product would), so it is clamped before the cast
+    with np.errstate(over="ignore"):
+        pad = 2 + k * m * 2**-50
+        lo = np.clip((ratio[rows + 1] - k) * m - pad, 0.0, m).astype(np.intp)
+        hi = np.clip((ratio[rows] - k) * m + pad, 0.0, m).astype(np.intp)
+    return rows, k, lo, hi
+
+
+def _compact_masses(N: int, m: int) -> tuple[np.ndarray, ...]:
+    """Exact all-branch cell masses before the final scaling by m, as
+    ``(head, rows, lengths, cols, vals)``.  ``head`` holds rows 0..H-1 densely.
+    Each later row is its boundary windows alone, the lower branches' first:
+    window w covers ``lengths[w]`` columns of row ``rows[w]``, and the windows'
+    columns and masses lie end to end in ``cols`` and ``vals``."""
     check_index(N)
     if m < 16:
         raise ValueError(f"need at least 16 cells, got {m}")
@@ -142,6 +160,66 @@ def transition_matrix(N: int, m: int) -> np.ndarray:
         raise ValueError(f"dense grids beyond {MAX_CELLS} cells are not supported, got {m}")
     if N * m > sys.float_info.max:  # the branch edges K_i = floor(N*m/i) must be floats
         raise OverflowError(f"transition-matrix[m={m}] at N = {N} is beyond the float range")
+    c = np.arange(m + 1, dtype=np.float64) / m  # row and column edges alike
+    # K_i = floor(N/t_i) in exact integers; K_0 = inf, and branch K_0 clips to
+    # nothing and has psi tail 0
+    K = np.array([math.inf, *(float(N * m // i) for i in range(1, m + 1))])
+    win_rows, k, lo, hi = _windows(N, m, K)
+    # the head ends at the last row that has an interior run of branches, which
+    # fills it, or whose windows span more than a third of it; a tail row then
+    # holds at most m/3 columns and masses, which with the solve's one weight
+    # per entry take no more bytes than a dense row
+    run = K[:-1] - K[1:] >= 2
+    dense = run | (np.bincount(win_rows, hi - lo, minlength=m) > m / 3)
+    H = int(np.flatnonzero(dense)[-1]) + 1
+    in_head = win_rows < H
+
+    # the tail's windows all at once, built before the head so that their
+    # temporaries and the head never coexist: window w's edges are columns
+    # lo..hi, laid end to end, and the difference across two windows' meeting
+    # is dropped
+    rows, lengths = win_rows[~in_head], (hi - lo)[~in_head]
+    span = lengths + 1
+    start = np.cumsum(span) - span
+    edges = np.arange(span.sum()) + np.repeat(lo[~in_head] - start, span)
+    u = c[edges]
+    u += np.repeat(k[~in_head], span)
+    u = _clip(N, u, np.repeat(c[rows], span), np.repeat(c[rows + 1], span))
+    last = (start + lengths)[:-1]  # each window's last edge but the final one
+    vals = np.delete(u[:-1] - u[1:], last)
+    del u
+    cols = np.delete(edges[:-1], last)
+    del edges
+
+    head = np.zeros((H, m))
+    for w in np.flatnonzero(in_head):
+        # column j's preimage is (u[j+1], u[j]]; u decreases, so clipping it to
+        # the row turns each difference into the overlap's length
+        i, l, h = win_rows[w], lo[w], hi[w]
+        u = _clip(N, k[w] + c[l : h + 1], c[i], c[i + 1])
+        head[i, l:h] += u[:-1] - u[1:]
+    del win_rows, k, lo, hi  # the psi tails' temporaries then add to the head alone
+    for i in np.flatnonzero(run[:H]):
+        tails = _psi_tail(np.array([[K[i + 1] + 1], [K[i]]]), c[:-1], 1.0 / m)
+        head[i] += N * (tails[0] - tails[1])
+    return head, rows, lengths, cols, vals
+
+
+def _cell_masses(N: int, m: int) -> np.ndarray:
+    """Exact all-branch cell-transition matrix before row normalisation."""
+    P, rows, lengths, cols, vals = _compact_masses(N, m)
+    # the head grows into the whole matrix in place, zero-filled below; no
+    # other reference to it exists
+    P.resize((m, m), refcheck=False)
+    # unbuffered and in order: a column in both windows of a row gets the lower
+    # branch's mass first, as in the row-by-row assembly
+    np.add.at(P, (np.repeat(rows, lengths), cols), vals)
+    P *= m
+    return P
+
+
+def transition_matrix(N: int, m: int) -> np.ndarray:
+    """Row-stochastic m-by-m cell-transition matrix of the index-N map."""
     P = _cell_masses(N, m)
     P /= P.sum(axis=1, keepdims=True)
     return P
@@ -152,16 +230,17 @@ def stationary(P: np.ndarray) -> np.ndarray:
     iteration from uniform, stopping at an L1 step below 1e-13; raises
     :class:`PowerIterationError` (with iteration diagnostics) after 100,000.
     """
-    pi, _ = _power_iteration(np.asarray(P, dtype=np.float64))
+    P = np.asarray(P, dtype=np.float64)
+    pi, _ = _power_iteration(lambda v: v @ P, len(P))
     return pi
 
 
-def _power_iteration(P: np.ndarray) -> tuple[np.ndarray, int]:
-    m = P.shape[0]
+def _power_iteration(matvec: Callable[[np.ndarray], np.ndarray], m: int) -> tuple[np.ndarray, int]:
+    """Left power iteration of pi -> matvec(pi) from uniform over m cells."""
     pi = np.full(m, 1.0 / m)
     step = math.inf
     for iteration in range(1, _MAX_ITERATIONS + 1):
-        nxt = pi @ P
+        nxt = matvec(pi)
         nxt /= nxt.sum()
         step = float(np.abs(nxt - pi).sum())
         pi = nxt
@@ -185,13 +264,24 @@ def density_l1_error(N: int, m: int, pi: np.ndarray) -> float:
 
 
 def build_model(N: int, m: int) -> UlamModel:
-    """Assemble the matrix, solve for its stationary vector, score the recovery."""
-    P = transition_matrix(N, m)
-    pi, iterations = _power_iteration(P)
+    """Assemble the compact operator, solve for its stationary vector, score the
+    recovery."""
+    head, rows, lengths, cols, vals = _compact_masses(N, m)
+    head /= head.sum(axis=1, keepdims=True)
+    sums = np.bincount(np.repeat(rows, lengths), vals, minlength=m)  # the tail rows'
+    vals /= np.repeat(sums[rows], lengths)
+
+    def matvec(pi: np.ndarray) -> np.ndarray:
+        weights = np.repeat(pi[rows], lengths)
+        weights *= vals
+        nxt = pi[: len(head)] @ head
+        nxt += np.bincount(cols, weights, minlength=m)
+        return nxt
+
+    pi, iterations = _power_iteration(matvec, m)
     return UlamModel(
         N=N,
         m=m,
-        matrix=P,
         stationary=pi,
         l1_error=density_l1_error(N, m, pi),
         iterations=iterations,

@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from ncfrac import (
     transition_matrix,
     write_density_profile,
 )
-from ncfrac.ulam import _cell_masses, _psi_tail
+from ncfrac.ulam import _cell_masses, _power_iteration, _psi_tail
 
 _FLOAT_MAX = int(sys.float_info.max)
 
@@ -54,11 +55,25 @@ _ORACLE_CASES = [
       for N in (1, 2, 3, 5, 7, 10, 12, 100, 1000, 10**6, 10**9, 10**12, 4 * 10**12,
                 10**15, 10**18, 10**100)),
     *((N, 2048) for N in (1, 10, 10**12, 10**15)),
-    # the last indices inside the float-range guard of transition_matrix; at
-    # 2048 cells each assembly there takes about 8 s, all in _psi_tail
+    # the last indices inside the float-range guard of transition_matrix
     *(pytest.param(_FLOAT_MAX // m - d, m, id=f"floatmax//{m}-{d}-{m}")
-      for m in (16, 17, 100, 512) for d in (0, 1)),
+      for m in (16, 17, 100, 512, 2048) for d in (0, 1)),
 ]
+
+
+def _psi_tail_full_series(a, x0, h):
+    """_psi_tail as it was before it skipped the series from a*h >= 2**56 on,
+    kept as the reference that the skip changes no bit."""
+    x = np.maximum(a, 32) + x0
+    y = x + h
+    with np.errstate(over="ignore"):
+        total = np.log1p(h / x) + h / (2 * x * y)
+    for power, coeff in enumerate((1 / 12, -1 / 120, 1 / 252, -1 / 240), start=1):
+        total -= coeff * (y ** (-2 * power) - x ** (-2 * power))
+    for k in range(int(a.min()), 32):
+        z = k + x0
+        total += np.where(k >= a, h / (z * (z + h)), 0.0)
+    return total
 
 
 def _branch_reference(N, m):
@@ -123,6 +138,15 @@ class TestMatrixAssembly:
         exact = _mpmath_matrix(N, m)
         assert np.abs(transition_matrix(N, m) - exact).max() < 1e-13
 
+    @pytest.mark.parametrize("m", [16, 512, 2048])
+    def test_psi_series_skip_changes_no_bit(self, m):
+        x0, h = np.arange(m + 1)[:-1] / m, 1.0 / m
+        top = float(_FLOAT_MAX // m)
+        start = 2.0**56 * m  # the first a whose series is skipped
+        for a in (*np.floor(np.geomspace(32.0, top, 160)), np.nextafter(start, 0), start, top):
+            column = np.array([[a], [a + 1]])
+            assert np.array_equal(_psi_tail(column, x0, h), _psi_tail_full_series(column, x0, h))
+
     def test_grid_size_limits(self):
         with pytest.raises(ValueError):
             transition_matrix(1, 8)
@@ -134,9 +158,30 @@ class TestStationary:
     def test_fixed_point_of_matrix(self):
         model = build_model(1, 64)
         pi = model.stationary
-        assert np.abs(pi @ model.matrix - pi).sum() < 1e-12
+        assert np.abs(pi @ transition_matrix(1, 64) - pi).sum() < 1e-12
         assert pi.sum() == pytest.approx(1.0, abs=1e-12)
         assert pi.min() >= 0.0
+
+    @pytest.mark.parametrize("N, m", [
+        *((N, m) for m in (16, 32, 100, 512) for N in (1, 2, 5, 10, 100, 1000, 10**12)),
+        (1, 2048), (10, 2048),
+    ])
+    def test_compact_solve_matches_dense(self, N, m):
+        model = build_model(N, m)
+        P = transition_matrix(N, m)
+        assert np.abs(model.stationary - stationary(P)).max() <= 1e-15
+        assert model.iterations == _power_iteration(lambda pi: pi @ P, m)[1]
+
+    def test_compact_model_memory(self):
+        # the dense 2048-cell matrix alone is 32 MiB
+        build_model(1, 2048)
+        tracemalloc.start()
+        try:
+            build_model(1, 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_converges_quickly(self):
         model = build_model(1, 64)
