@@ -8,26 +8,29 @@ shadow orbit loses roughly lyapunov/log(2) mantissa bits per step and its
 digits go wrong within a few dozen steps (see :func:`shadow_divergence_step`),
 while the exact orbit is ground truth for its full length.
 
-Trials are independent: each trial reads its own PCG64 stream, seeded by
-(seed, trial index), so results do not depend on execution order.  The
-stream's raw words are taken as bytes exactly as numpy's ``Generator.bytes``
-would return them (see :func:`sample_rational`).  Each trial walks its orbit
-once with the list-returning exact kernel of :mod:`ncfrac.dynamics` and
-feeds every requested observable from that one digit list.
+Trials are independent: each trial reads its own PCG64 stream, the one of
+``PCG64(SeedSequence(seed, spawn_key=(trial,)))``, so results do not depend
+on execution order.  No per-trial SeedSequence or PCG64 is built: the
+seeding hash is reproduced for a block of trials at once in uint32 arrays,
+and each state is loaded into one reused PCG64 (see :func:`_pcg_states`).
+The stream's raw words are taken as bytes exactly as numpy's
+``Generator.bytes`` would return them (see :func:`_sample_pairs`).  Each
+trial walks its reduced (p, q) once with the list-returning exact kernel of
+:mod:`ncfrac.dynamics` and feeds every requested observable from that one
+digit list.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import constants
-from .convergents import convergent_sequence
 from .dynamics import Expansion, RationalLike, _walk, check_index, expand, fixed_point
 
 __all__ = [
@@ -115,27 +118,135 @@ class EstimateReport:
         return record
 
 
-def sample_rational(cfg: SampleConfig, trial: int = 0) -> Fraction:
-    """Random p/q with q an exact `denominator_bits`-bit integer, p uniform in [1, q).
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx) and
+# PCG64's 128-bit LCG multiplier (O'Neill 2014)
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_POOL = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_BLOCK = 256  # trials seeded per numpy pass
 
-    Each draw reads the next 4*ceil(nbytes/4) bytes of the (seed, trial) PCG64
-    output as little-endian words and keeps the first nbytes = ceil(bits/8):
-    exactly numpy's ``Generator.bytes(nbytes)``, without its per-call cost.
+
+def _words(n: int, name: str) -> list[int]:
+    """n's little-endian 32-bit words, one word for 0, as SeedSequence reads an int."""
+    n = operator.index(n)
+    if n < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {n}")
+    return [n >> shift & _MASK32 for shift in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashes(init: int, mult: int, count: int) -> list[int]:
+    """The running multipliers init * mult**k mod 2**32 for k = 0..count."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    return out
+
+
+def _hashmix(value, xor, mult):
+    """SeedSequence's hash of 32-bit words: ints, or uint32 arrays that broadcast."""
+    value = (value ^ xor) * mult & _MASK32
+    return value ^ value >> 16
+
+
+def _mix(x, y):
+    """SeedSequence's mix of 32-bit words: ints, or uint32 arrays that broadcast."""
+    x = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return x ^ x >> 16
+
+
+def _pcg_states(seed: int, trials: range) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of ``PCG64(SeedSequence(seed, spawn_key=(t,)))`` per t in trials.
+
+    The trials must share one number of 32-bit words.  The seed's first four
+    words, zero-padded, are hashed and mixed once, in ints.  Each key word is
+    then mixed into the pool of every trial at once, as a (4, trials) uint32
+    array, and the pool is hashed out to the eight words of
+    ``generate_state(4, uint64)`` that seed PCG64.
+    """
+    entropy = _words(seed, "seed")
+    entropy += [0] * (_POOL - len(entropy))
+    width = len(_words(trials[0], "trial"))
+    h = _hashes(_INIT_A, _MULT_A, _POOL * (len(entropy) + width))
+    pool = [_hashmix(w, h[k], h[k + 1]) for k, w in enumerate(entropy[:_POOL])]
+    k = _POOL
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if dst != src:
+                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k], h[k + 1]))
+                k += 1
+    # from here the pool is a uint32 array, which wraps mod 2**32; each word
+    # beyond it (the seed's past four, then the trials') is mixed into all four
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    h = np.array(h, dtype=np.uint32)[:, None]
+    hb = np.array(_hashes(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)[:, None]
+    key = [np.array([t >> shift & _MASK32 for t in trials], dtype=np.uint32)
+           for shift in range(0, 32 * width, 32)]
+    with np.errstate(over="ignore"):
+        for word in entropy[_POOL:] + key:
+            pool = _mix(pool, _hashmix(word, h[k:k + _POOL], h[k + 1:k + _POOL + 1]))
+            k += _POOL
+        out = _hashmix(np.concatenate([pool, pool]), hb[:-1], hb[1:])
+    # generate_state(4, uint64) reads the words as little-endian pairs; PCG64
+    # takes its start from the first two and its increment from the last two
+    states = []
+    for s0, s1, s2, s3 in out.T.astype("<u4", order="C").view("<u8").tolist():
+        inc = (s2 << 65 | s3 << 1 | 1) & _MASK128
+        states.append(((inc + (s0 << 64 | s1)) * _PCG_MULT + inc & _MASK128, inc))
+    return states
+
+
+def _sample_pairs(cfg: SampleConfig, trials: range) -> Iterator[tuple[int, int]]:
+    """Reduced (p, q) of each trial's sample, for consecutive trial indices.
+
+    Each trial's PCG64 state is worked out in blocks (see :func:`_pcg_states`)
+    and loaded into one reused bit generator.  Each draw reads the next
+    4*ceil(nbytes/4) bytes of the stream as little-endian words and keeps the
+    first nbytes = ceil(bits/8): exactly numpy's ``Generator.bytes(nbytes)``.
+    The first draw gives q's low bits, and p is drawn until 1 <= p < q.
     """
     bits = cfg.denominator_bits
     nbytes = (bits + 7) // 8
     step = -(-nbytes // 4) * 4
-    raw = np.random.PCG64(np.random.SeedSequence(cfg.seed, spawn_key=(trial,))).random_raw
-    stream = b""
     top = 1 << (bits - 1)
-    for start in itertools.count(0, step):
-        if len(stream) < start + nbytes:
-            stream += raw(step // 4).astype("<u8").tobytes()  # two draws
-        draw = int.from_bytes(stream[start:start + nbytes], "big")
-        if start == 0:
-            q = top | draw & (top - 1)
-        elif 1 <= (p := draw & (2 * top - 1)) < q:
-            return Fraction(p, q)
+    bitgen = np.random.PCG64(0)
+    raw = bitgen.random_raw
+    state = bitgen.state
+
+    def draw() -> tuple[int, int]:
+        q = 0
+        while True:
+            chunk = raw(step // 4).astype("<u8", copy=False).tobytes()  # two draws
+            for start in (0, step):
+                value = int.from_bytes(chunk[start:start + nbytes], "big")
+                if not q:
+                    q = top | value & (top - 1)
+                elif 1 <= (p := value & (2 * top - 1)) < q:
+                    g = math.gcd(p, q)
+                    return p // g, q // g
+
+    i = 0
+    while i < len(trials):
+        # a block ends where the trial index takes one more 32-bit word
+        edge = 1 << 32 * len(_words(trials[i], "trial"))
+        block = trials[i:i + min(_BLOCK, edge - trials[i])]
+        i += len(block)
+        for seeded, inc in _pcg_states(cfg.seed, block):
+            state["state"] = {"state": seeded, "inc": inc}
+            bitgen.state = state
+            yield draw()
+
+
+def sample_rational(cfg: SampleConfig, trial: int = 0) -> Fraction:
+    """Random p/q with q an exact `denominator_bits`-bit integer, p uniform in [1, q).
+
+    The one-trial case of the sampler that :func:`orbit_estimates` runs over
+    every trial (see :func:`_sample_pairs`).
+    """
+    return Fraction(*next(_sample_pairs(cfg, range(trial, trial + 1))))
 
 
 def sample_orbit(cfg: SampleConfig, trial: int = 0) -> Expansion:
@@ -182,7 +293,10 @@ def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, x_n
         # sum of log(N / x_k^2)
         return (n * math.log(N) - 2.0 * log_ratio) / n
     # denominator-growth: x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}),
-    # with rho_n = B_{n-1} / B_n from rho_k = 1 / (a_k + N * rho_{k-1}), rho_0 = 0
+    # with rho_n = B_{n-1} / B_n from rho_k = 1 / (a_k + N * rho_{k-1}), rho_0 = 0;
+    # a terminated orbit has x_n = 0, where log1p(x_n * rho_n) = 0 needs no rho
+    if x_n == 0:
+        return (n * math.log(N) - log_ratio) / n
     rho = 0.0
     for a in digits:
         try:
@@ -268,18 +382,18 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
     x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}), so the same log ratio
     gives the Lyapunov sum and log(B_n) = n*log(N) - log(x_0 ... x_{n-1})
     - log1p(x_n * B_{n-1}/B_n), where the ratio B_{n-1}/B_n comes from a
-    float recursion over the digits and x_n is 0 on a terminated orbit.
+    float recursion over the digits, run only on a truncated orbit: a
+    terminated one has x_n = 0.
     """
     requests = [_check_observable(cfg, name, param) for name, param in observables]
     # a divergent power has no per-trial mean; its report pools every digit
     means = [None if name == "digit-power" and param >= 1 else [] for name, param in requests]
     pooled: list[int] = []
     terms = 0
-    for trial in range(cfg.trials):
-        x = sample_rational(cfg, trial)
-        digits, p, q = _walk(x.numerator, x.denominator, cfg.N, cfg.max_terms)
-        # q is the last numerator stepped from: x_0 * ... * x_{n-1} = q / x.denominator
-        log_ratio = math.log(q) - math.log(x.denominator)
+    for p0, q0 in _sample_pairs(cfg, range(cfg.trials)):
+        digits, p, q = _walk(p0, q0, cfg.N, cfg.max_terms)
+        # q is the last numerator stepped from: x_0 * ... * x_{n-1} = q / q0
+        log_ratio = math.log(q) - math.log(q0)
         for (name, param), out in zip(requests, means):
             if out is not None:
                 out.append(_trial_mean(name, param, digits, log_ratio, p / q, cfg.N))
@@ -339,8 +453,11 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
         raise ValueError(f"depth must be >= 10, got {depth}")
     lyap_bound, denom_bound = constants.lower_bounds(N)
 
-    trace = convergent_sequence([N] * depth, N)
-    log_b = [math.log(c.B) if c.B > 1 else 0.0 for c in trace.convergents]
+    # B_n = N * (B_{n-1} + B_{n-2}) from B_{-1} = 0, B_0 = 1
+    log_b, b2, b1 = [0.0], 0, 1
+    for _ in range(depth):
+        b2, b1 = b1, N * (b1 + b2)
+        log_b.append(math.log(b1) if b1 > 1 else 0.0)
     cesaro_history = {
         n: abs(log_b[n] / n - denom_bound) for n in range(20, depth + 1, 20)
     }

@@ -266,6 +266,11 @@ class TestVerify:
         quantities = {row["quantity"] for row in rows}
         assert quantities == {"denominator-growth", "denominator-growth[floor]"}
 
+    def test_negative_seed_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "levy", "--seed", "-1")
+        assert code == 2 and out == ""
+        assert err == "error: seed must be a non-negative integer, got -1\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("N", [10**160, 10**300], ids=["1e160", "1e300"])
     def test_ulam_index_beyond_squared_float_range(self, capsys, N):

@@ -31,6 +31,8 @@ from ncfrac import (
     sample_rational,
     shadow_divergence_step,
 )
+from ncfrac import ergodic
+from ncfrac.dynamics import _walk
 
 CFG = SampleConfig(N=1, trials=50, denominator_bits=256, seed=11)
 CFG3 = SampleConfig(N=3, trials=50, denominator_bits=256, seed=11)
@@ -73,11 +75,39 @@ class TestSampling:
                 if 1 <= p < q:
                     return p, q
 
-        for seed in (0, 1, 11, 900, 2**40 + 3):
+        # seeds of five and seven 32-bit words add entropy beyond the pool of four
+        for seed in (0, 1, 11, 900, 2**40 + 3, 2**128 + 5, 2**200 + 1):
             cfg = SampleConfig(N=1, denominator_bits=bits, seed=seed)
             for trial in range(31):
                 p, q = reference(cfg, trial)
                 assert sample_rational(cfg, trial) == Fraction(p, q), (seed, trial)
+
+    @pytest.mark.parametrize("seed", [0, 900, 2**32, 2**70, 2**128 + 5, 2**200 + 1])
+    def test_batch_states_match_seed_sequence(self, seed):
+        def reference(t):
+            state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state
+            return state["state"]["state"], state["state"]["inc"]
+
+        # trial indices of one, two and three 32-bit words
+        for t in (0, 1, 2**32 - 1, 2**32 + 1, 2**70):
+            assert ergodic._pcg_states(seed, range(t, t + 1)) == [reference(t)], t
+        assert ergodic._pcg_states(seed, range(40)) == [reference(t) for t in range(40)]
+
+    def test_block_across_a_key_word_boundary(self):
+        # trials 2**32 - 2 .. 2**32 + 1 take one key word, then two
+        cfg = SampleConfig(N=1, denominator_bits=96, seed=7)
+        trials = range(2**32 - 2, 2**32 + 2)
+        pairs = list(ergodic._sample_pairs(cfg, trials))
+        assert [Fraction(p, q) for p, q in pairs] == [sample_rational(cfg, t) for t in trials]
+        assert all(math.gcd(p, q) == 1 for p, q in pairs)
+
+    def test_negative_seed_or_trial_rejected(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_rational(SampleConfig(N=1, seed=-1))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            orbit_estimates(SampleConfig(N=1, trials=2, seed=-1), [("log-digit", None)])
+        with pytest.raises(ValueError, match="trial must be a non-negative integer"):
+            sample_rational(CFG, -1)
 
     def test_different_trials_differ(self):
         assert sample_rational(CFG, 0) != sample_rational(CFG, 1)
@@ -135,30 +165,33 @@ class TestBirkhoffEstimates:
 
     @pytest.mark.parametrize("r", [1e-7, -1e-7, 1e-320])
     def test_power_order_too_close_to_zero_rejected_before_sampling(self, monkeypatch, r):
-        def no_sampling(cfg, trial):
+        def no_sampling(cfg, trials):
             raise AssertionError("sampled an orbit for an order that is out of reach")
 
-        monkeypatch.setattr("ncfrac.ergodic.sample_rational", no_sampling)
+        monkeypatch.setattr("ncfrac.ergodic._sample_pairs", no_sampling)
         with pytest.raises(ValueError, match="out of reach: .*r = 0 is the geometric mean"):
             orbit_estimates(SampleConfig(N=1), [("log-digit", None), ("digit-power", r)])
 
     @pytest.mark.parametrize("r", [math.nan, -math.inf])
     def test_non_finite_power_order_rejected_before_sampling(self, monkeypatch, r):
         calls = []
-        monkeypatch.setattr("ncfrac.ergodic.sample_rational",
-                            lambda cfg, trial: calls.append(trial))
+        monkeypatch.setattr("ncfrac.ergodic._sample_pairs",
+                            lambda cfg, trials: calls.append(trials))
         with pytest.raises(ValueError, match="order r must be a finite number or >= 1"):
             orbit_estimates(SampleConfig(N=1), [("log-digit", None), ("digit-power", r)])
         assert calls == []
 
     def test_infinite_power_order_still_divergent(self, monkeypatch):
         calls = []
+        sample_pairs = ergodic._sample_pairs
 
-        def counting(cfg, trial):
-            calls.append(trial)
-            return sample_rational(cfg, trial)
+        def counting(cfg, trials):
+            # one sample per trial, counted as the orbit loop takes it
+            for trial, pair in zip(trials, sample_pairs(cfg, trials)):
+                calls.append(trial)
+                yield pair
 
-        monkeypatch.setattr("ncfrac.ergodic.sample_rational", counting)
+        monkeypatch.setattr("ncfrac.ergodic._sample_pairs", counting)
         cfg = SampleConfig(N=1, trials=4, denominator_bits=128, seed=1)
         (report,) = orbit_estimates(cfg, [("digit-power", math.inf)])
         assert calls == [0, 1, 2, 3]
@@ -271,6 +304,37 @@ class TestLyapunovAndLevy:
             B = convergent_sequence(exp.coeffs, N).final.B
             assert levy_estimate(cfg).value == pytest.approx(math.log(B) / len(exp), rel=1e-13)
 
+    @staticmethod
+    def _full_rho_rate(digits, log_ratio, x_n, N):
+        # the denominator-growth rate with the rho recursion always run
+        rho = 0.0
+        for a in digits:
+            try:
+                rho = 1.0 / (a + N * rho)
+            except OverflowError:
+                rho = 1 / a
+        n = len(digits)
+        return (n * math.log(N) - log_ratio - math.log1p(x_n * rho)) / n
+
+    @pytest.mark.parametrize("N", [1, 2, 5, 10**6])
+    @pytest.mark.parametrize("max_terms", [10_000, 12])
+    def test_rate_skips_rho_only_on_terminated_orbits(self, N, max_terms):
+        cfg = SampleConfig(N=N, trials=12, denominator_bits=512, max_terms=max_terms, seed=3)
+        rates = []
+        for p0, q0 in ergodic._sample_pairs(cfg, range(cfg.trials)):
+            digits, p, q = _walk(p0, q0, N, max_terms)
+            assert (p == 0) == (max_terms == 10_000)
+            log_ratio = math.log(q) - math.log(q0)
+            full = self._full_rho_rate(digits, log_ratio, p / q, N)
+            rate = ergodic._trial_mean("denominator-growth", None, digits, log_ratio, p / q, N)
+            assert rate == full
+            if p:  # a truncated orbit still takes its rho term
+                assert rate != (len(digits) * math.log(N) - log_ratio) / len(digits)
+            rates.append(full)
+        report = levy_estimate(cfg)
+        assert report.value == float(np.mean(rates))
+        assert report.extras["min_rate"] == min(rates)
+
     def test_levy_estimate(self):
         report = levy_estimate(CFG3)
         assert report.target == levy_L(3)
@@ -317,6 +381,15 @@ class TestBoundAchievement:
         assert depths[0] == 20
         values = [history[d] for d in depths]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("N", [1, 2, 7, 10**6])
+    def test_denominators_are_the_convergent_recursion(self, N):
+        depth = 60
+        denom_report, _ = bound_achievement(N, depth=depth)
+        trace = convergent_sequence([N] * depth, N)
+        log_b = [math.log(c.B) if c.B > 1 else 0.0 for c in trace.convergents]
+        assert denom_report.value == log_b[depth] - log_b[depth - 1]
+        assert denom_report.extras["cesaro"] == log_b[depth] / depth
 
     def test_depth_validation(self):
         with pytest.raises(ValueError):
