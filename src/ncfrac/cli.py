@@ -170,7 +170,7 @@ def _suite_bounds(ns) -> list[dict]:
 
 
 def _ulam_row(n: int, cells: int) -> dict:
-    """One grid check; its m-by-m model is freed before the next index builds one."""
+    """One grid check: the l1 error of the index's Ulam model on a grid of `cells` cells."""
     model = ulam.build_model(n, cells)
     return _row("ulam", n, f"density-l1[m={cells}]", model.l1_error, 0.0, TOLERANCES["ulam"],
                 model.l1_error, model.l1_error < TOLERANCES["ulam"], iterations=model.iterations)

@@ -10,9 +10,10 @@ while the exact orbit is ground truth for its full length.
 
 Trials are independent: each trial reads its own PCG64 stream, the one of
 ``PCG64(SeedSequence(seed, spawn_key=(trial,)))``, so results do not depend
-on execution order.  No per-trial SeedSequence or PCG64 is built: the
-seeding hash is reproduced for a block of trials at once in uint32 arrays,
-and each state is loaded into one reused PCG64 (see :func:`_pcg_states`).
+on execution order.  No per-trial SeedSequence or PCG64 is built: the key
+words of a block of trials are hashed into numpy's ``SeedSequence(seed).pool``
+at once in uint32 arrays, and each state is loaded into one reused PCG64
+(see :func:`_pcg_states`).
 The stream's raw words are taken as bytes exactly as numpy's
 ``Generator.bytes`` would return them (see :func:`_sample_pairs`).  Each
 trial walks its reduced (p, q) once with the list-returning exact kernel of
@@ -147,13 +148,13 @@ def _hashes(init: int, mult: int, count: int) -> list[int]:
 
 
 def _hashmix(value, xor, mult):
-    """SeedSequence's hash of 32-bit words: ints, or uint32 arrays that broadcast."""
+    """SeedSequence's hash of 32-bit words, as uint32 arrays that broadcast."""
     value = (value ^ xor) * mult & _MASK32
     return value ^ value >> 16
 
 
 def _mix(x, y):
-    """SeedSequence's mix of 32-bit words: ints, or uint32 arrays that broadcast."""
+    """SeedSequence's mix of 32-bit words, as uint32 arrays that broadcast."""
     x = (_MIX_L * x - _MIX_R * y) & _MASK32
     return x ^ x >> 16
 
@@ -161,33 +162,26 @@ def _mix(x, y):
 def _pcg_states(seed: int, trials: range) -> list[tuple[int, int]]:
     """PCG64 (state, inc) of ``PCG64(SeedSequence(seed, spawn_key=(t,)))`` per t in trials.
 
-    The trials must share one number of 32-bit words.  The seed's first four
-    words, zero-padded, are hashed and mixed once, in ints.  Each key word is
-    then mixed into the pool of every trial at once, as a (4, trials) uint32
+    The pool that the seed's words hash to is numpy's own
+    ``SeedSequence(seed).pool``, shared by every trial.  Each key word is then
+    mixed into the pool of every trial that has it, as a (4, trials) uint32
     array, and the pool is hashed out to the eight words of
     ``generate_state(4, uint64)`` that seed PCG64.
     """
-    entropy = _words(seed, "seed")
-    entropy += [0] * (_POOL - len(entropy))
-    width = len(_words(trials[0], "trial"))
-    h = _hashes(_INIT_A, _MULT_A, _POOL * (len(entropy) + width))
-    pool = [_hashmix(w, h[k], h[k + 1]) for k, w in enumerate(entropy[:_POOL])]
-    k = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if dst != src:
-                pool[dst] = _mix(pool[dst], _hashmix(pool[src], h[k], h[k + 1]))
-                k += 1
-    # from here the pool is a uint32 array, which wraps mod 2**32; each word
-    # beyond it (the seed's past four, then the trials') is mixed into all four
-    pool = np.array(pool, dtype=np.uint32)[:, None]
-    h = np.array(h, dtype=np.uint32)[:, None]
+    # the seed took 4 hashes to fill the pool and 12 to cross-mix it, then 4
+    # for each word past the pool; each key word takes the next 4
+    k = _POOL * max(len(_words(seed, "seed")), _POOL)
+    _words(trials[0], "trial")  # rejects a negative trial
+    width = len(_words(trials[-1], "trial"))
+    pool = np.random.SeedSequence(seed).pool[:, None]
+    h = np.array(_hashes(_INIT_A, _MULT_A, k + _POOL * width), dtype=np.uint32)[:, None]
     hb = np.array(_hashes(_INIT_B, _MULT_B, 2 * _POOL), dtype=np.uint32)[:, None]
-    key = [np.array([t >> shift & _MASK32 for t in trials], dtype=np.uint32)
-           for shift in range(0, 32 * width, 32)]
     with np.errstate(over="ignore"):
-        for word in entropy[_POOL:] + key:
-            pool = _mix(pool, _hashmix(word, h[k:k + _POOL], h[k + 1:k + _POOL + 1]))
+        for j in range(width):
+            word = np.array([t >> 32 * j & _MASK32 for t in trials], dtype=np.uint32)
+            mixed = _mix(pool, _hashmix(word, h[k:k + _POOL], h[k + 1:k + _POOL + 1]))
+            # every trial takes key word 0; word j > 0 only while t >> 32*j > 0
+            pool = np.where([t >> 32 * j > 0 for t in trials], mixed, pool) if j else mixed
             k += _POOL
         out = _hashmix(np.concatenate([pool, pool]), hb[:-1], hb[1:])
     # generate_state(4, uint64) reads the words as little-endian pairs; PCG64
@@ -228,13 +222,8 @@ def _sample_pairs(cfg: SampleConfig, trials: range) -> Iterator[tuple[int, int]]
                     g = math.gcd(p, q)
                     return p // g, q // g
 
-    i = 0
-    while i < len(trials):
-        # a block ends where the trial index takes one more 32-bit word
-        edge = 1 << 32 * len(_words(trials[i], "trial"))
-        block = trials[i:i + min(_BLOCK, edge - trials[i])]
-        i += len(block)
-        for seeded, inc in _pcg_states(cfg.seed, block):
+    for start in range(0, len(trials), _BLOCK):
+        for seeded, inc in _pcg_states(cfg.seed, trials[start:start + _BLOCK]):
             state["state"] = {"state": seeded, "inc": inc}
             bitgen.state = state
             yield draw()

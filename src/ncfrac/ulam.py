@@ -58,7 +58,8 @@ __all__ = [
     "write_density_profile",
 ]
 
-MAX_CELLS = 2048  # transition_matrix is dense; finer grids are out of scope
+# caps build_model as well as the dense transition_matrix; finer grids are out of scope
+MAX_CELLS = 2048
 
 # psi(x) ~ log x - 1/(2x) - sum_k B_2k/(2k x^2k): coefficients of x^-2 .. x^-8
 _PSI_SERIES = (1 / 12, -1 / 120, 1 / 252, -1 / 240)
@@ -157,7 +158,7 @@ def _compact_masses(N: int, m: int) -> tuple[np.ndarray, ...]:
     if m < 16:
         raise ValueError(f"need at least 16 cells, got {m}")
     if m > MAX_CELLS:
-        raise ValueError(f"dense grids beyond {MAX_CELLS} cells are not supported, got {m}")
+        raise ValueError(f"grids beyond {MAX_CELLS} cells are not supported, got {m}")
     if N * m > sys.float_info.max:  # the branch edges K_i = floor(N*m/i) must be floats
         raise OverflowError(f"transition-matrix[m={m}] at N = {N} is beyond the float range")
     c = np.arange(m + 1, dtype=np.float64) / m  # row and column edges alike

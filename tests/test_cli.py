@@ -271,6 +271,15 @@ class TestVerify:
         assert code == 2 and out == ""
         assert err == "error: seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("cells, message", [
+        ("15", "need at least 16 cells, got 15"),
+        ("4096", "grids beyond 2048 cells are not supported, got 4096"),
+    ])
+    def test_grid_size_out_of_range_exits_2(self, capsys, cells, message):
+        code, out, err = run_cli(capsys, "verify", "ulam", "--n", "1", "--cells", cells)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("N", [10**160, 10**300], ids=["1e160", "1e300"])
     def test_ulam_index_beyond_squared_float_range(self, capsys, N):

@@ -82,7 +82,9 @@ class TestSampling:
                 p, q = reference(cfg, trial)
                 assert sample_rational(cfg, trial) == Fraction(p, q), (seed, trial)
 
-    @pytest.mark.parametrize("seed", [0, 900, 2**32, 2**70, 2**128 + 5, 2**200 + 1])
+    # seeds of three, four and five 32-bit words sit on either side of the pool of four
+    @pytest.mark.parametrize("seed", [0, 900, 2**32, 2**70, 2**96 - 1, 2**127, 2**128,
+                                      2**128 + 5, 2**200 + 1])
     def test_batch_states_match_seed_sequence(self, seed):
         def reference(t):
             state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state
@@ -91,7 +93,9 @@ class TestSampling:
         # trial indices of one, two and three 32-bit words
         for t in (0, 1, 2**32 - 1, 2**32 + 1, 2**70):
             assert ergodic._pcg_states(seed, range(t, t + 1)) == [reference(t)], t
-        assert ergodic._pcg_states(seed, range(40)) == [reference(t) for t in range(40)]
+        # blocks whose trials take different numbers of key words
+        for trials in (range(40), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2)):
+            assert ergodic._pcg_states(seed, trials) == [reference(t) for t in trials], trials
 
     def test_block_across_a_key_word_boundary(self):
         # trials 2**32 - 2 .. 2**32 + 1 take one key word, then two
