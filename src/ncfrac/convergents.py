@@ -11,12 +11,11 @@ happens only in :func:`ncfrac.dynamics.evaluate`.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .dynamics import RationalLike, check_index, expand
+from .dynamics import RationalLike, check_digits, check_index, expand
 
 __all__ = [
     "Convergent",
@@ -70,15 +69,9 @@ def convergent_sequence(coeffs: Sequence[int], N: int) -> ConvergentTrace:
     [(0, 1), (1, 1), (2, 3)]
     """
     check_index(N)
-    try:
-        coeffs = tuple(operator.index(a) for a in coeffs)
-    except TypeError:
-        raise ValueError("digits must be integers") from None
+    coeffs = check_digits(coeffs, N)
     if not coeffs:
         raise ValueError("need at least one digit")
-    for a in coeffs:
-        if a < N:
-            raise ValueError(f"inadmissible digit {a} (digits are integers >= N = {N})")
     A2, A1, B2, B1 = 1, 0, 0, 1  # (A_{-1}, B_{-1}) = (1, 0) gives A_1 = N, B_1 = a_1
     out = [Convergent(0, A1, B1)]
     for n, a in enumerate(coeffs, 1):

@@ -13,7 +13,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 __all__ = [
     "DEFAULT_MAX_TERMS",
@@ -40,6 +40,19 @@ def check_index(N: int) -> int:
     if N < 1:
         raise ValueError(f"map index must be >= 1, got {N}")
     return N
+
+
+def check_digits(coeffs: Iterable[int], N: int) -> tuple[int, ...]:
+    """Validate expansion digits (integers >= N) and return them as a tuple of ints."""
+    digits = []
+    for a in coeffs:
+        try:
+            digits.append(operator.index(a))
+        except TypeError:
+            raise ValueError(f"digits must be integers, got {a!r}") from None
+        if digits[-1] < N:
+            raise ValueError(f"inadmissible digit {digits[-1]} < N = {N}")
+    return tuple(digits)
 
 
 def _as_unit_rational(x: RationalLike, *, allow_zero: bool = True) -> Fraction:
@@ -72,10 +85,7 @@ class Expansion:
 
     def __post_init__(self) -> None:
         check_index(self.N)
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if any(a < self.N for a in self.coeffs):
-            bad = next(a for a in self.coeffs if a < self.N)
-            raise ValueError(f"inadmissible digit {bad} < N = {self.N}")
+        object.__setattr__(self, "coeffs", check_digits(self.coeffs, self.N))
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -150,7 +160,7 @@ def expand(x: RationalLike, N: int, max_terms: int = DEFAULT_MAX_TERMS) -> Expan
         raise ValueError(f"max_terms must be >= 0, got {max_terms}")
     x = _as_unit_rational(x)
     coeffs, p, _ = _walk(x.numerator, x.denominator, N, max_terms)
-    return Expansion(N=N, coeffs=tuple(coeffs), terminated=p == 0)
+    return Expansion(N=N, coeffs=coeffs, terminated=p == 0)
 
 
 def evaluate(coeffs: Sequence[int], N: int) -> Fraction:
@@ -163,13 +173,7 @@ def evaluate(coeffs: Sequence[int], N: int) -> Fraction:
     """
     check_index(N)
     value = Fraction(0)
-    for a in reversed(coeffs):
-        try:
-            a = operator.index(a)
-        except TypeError:
-            raise ValueError(f"digits must be integers, got {a!r}") from None
-        if a < N:
-            raise ValueError(f"inadmissible digit {a} < N = {N}")
+    for a in reversed(check_digits(coeffs, N)):
         value = Fraction(N, a + value)
     return value
 

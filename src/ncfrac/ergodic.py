@@ -32,7 +32,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import constants
-from .dynamics import Expansion, RationalLike, _walk, check_index, expand, fixed_point
+from .dynamics import (Expansion, RationalLike, _as_unit_rational, _walk, check_index, expand,
+                       fixed_point)
 
 __all__ = [
     "OBSERVABLES",
@@ -247,21 +248,28 @@ def sample_orbit(cfg: SampleConfig, trial: int = 0) -> Expansion:
     return expand(sample_rational(cfg, trial), cfg.N, cfg.max_terms)
 
 
-def _check_observable(cfg: SampleConfig, observable: str, param) -> tuple[str, Optional[float]]:
-    """Validate one (observable, parameter) request; fill in the default digit M = N."""
-    if observable not in OBSERVABLES:
-        raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
+def _check_observable(cfg: SampleConfig, observable: str, param) -> tuple[tuple, str, float]:
+    """Resolve a request to ((observable, param), quantity, closed-form target), M = N by
+    default; the target function rejects what it cannot evaluate, before any sampling."""
+    N = cfg.N
+    if observable == "log-digit":
+        return (observable, param), "geometric-mean", constants.khinchin(N)
     if observable == "digit-power":
         if param is None:
             raise ValueError("digit-power needs the exponent r")
         if param == 0:
             raise ValueError("order 0 is the geometric mean; use the log-digit observable")
-        constants._check_order(cfg.N, param)
-    elif observable == "digit-indicator":
-        param = cfg.N if param is None else param
-        if param < cfg.N:
-            raise ValueError(f"digit {param} can never occur (digits are >= {cfg.N})")
-    return observable, param
+        # r >= 1 diverges; its report is a diagnostic with no series behind it
+        target = math.inf if param >= 1 else constants.holder_mean(N, param)
+        return (observable, param), f"digit-power[r={constants._order_label(param)}]", target
+    if observable == "digit-indicator":
+        param = N if param is None else param
+        return (observable, param), f"digit-frequency[M={param}]", constants.frequency(N, param)
+    if observable == "log-derivative":
+        return (observable, param), "lyapunov", constants.lyapunov_const(N)
+    if observable == "denominator-growth":
+        return (observable, param), "denominator-growth", constants.levy_L(N)
+    raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
 
 
 def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, x_n: float,
@@ -305,7 +313,8 @@ def _digit_power(a: int, r: float) -> float:
         return math.inf
 
 
-def _divergence_report(cfg: SampleConfig, r: float, digits: list[int]) -> EstimateReport:
+def _divergence_report(cfg: SampleConfig, quantity: str, r: float,
+                       digits: list[int]) -> EstimateReport:
     """Running means of digit**r pooled over trials; no finite estimate exists."""
     powers = np.array([_digit_power(a, r) for a in digits])
     with np.errstate(over="ignore"):  # a running sum past the float range is inf
@@ -314,9 +323,7 @@ def _divergence_report(cfg: SampleConfig, r: float, digits: list[int]) -> Estima
     if not marks or marks[-1] != len(powers):
         marks.append(len(powers))
     return EstimateReport.from_value(
-        f"digit-power[r={constants._order_label(r)}]",
-        math.inf,
-        math.inf,
+        quantity, math.inf, math.inf,
         trials=cfg.trials,
         terms=int(len(powers)),
         extras={
@@ -327,28 +334,20 @@ def _divergence_report(cfg: SampleConfig, r: float, digits: list[int]) -> Estima
     )
 
 
-def _estimate_report(cfg: SampleConfig, observable: str, param, means: list[float],
-                     terms: int) -> EstimateReport:
-    """Pool per-trial means into one report against the closed-form target."""
+def _estimate_report(cfg: SampleConfig, observable: str, param, quantity: str, target: float,
+                     means: list[float], terms: int) -> EstimateReport:
+    """Pool per-trial means into one value, with its extras, against the resolved target."""
     means = np.array(means)
     grand = float(means.mean())
     std = float(means.std(ddof=1)) if cfg.trials > 1 else 0.0
     value, extras = grand, {}
     if observable == "log-digit":
-        quantity, target = "geometric-mean", constants.khinchin(cfg.N)
         value = constants._checked(quantity, cfg.N, math.exp, grand)
         extras = {"scale": "log", "log_value": grand}
     elif observable == "digit-power":
-        label = constants._order_label(param)
-        quantity, value = f"digit-power[r={label}]", grand ** (1.0 / param)
-        target = constants.holder_mean(cfg.N, param)
-        extras = {"scale": f"power[{label}]", "power_mean": grand}
-    elif observable == "digit-indicator":
-        quantity, target = f"digit-frequency[M={param}]", constants.frequency(cfg.N, param)
-    elif observable == "log-derivative":
-        quantity, target = "lyapunov", constants.lyapunov_const(cfg.N)
-    else:
-        quantity, target = "denominator-growth", constants.levy_L(cfg.N)
+        value = grand ** (1.0 / param)
+        extras = {"scale": f"power[{constants._order_label(param)}]", "power_mean": grand}
+    elif observable == "denominator-growth":
         _, denom_bound = constants.lower_bounds(cfg.N)
         extras = {"min_rate": float(means.min()), "denominator_bound": denom_bound}
     return EstimateReport.from_value(
@@ -366,6 +365,8 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
     frequency; "log-derivative", lyapunov_const; "denominator-growth",
     log(B_n)/n at the deepest n, levy_L, with the minimum per-trial rate and
     the denominator lower bound, which every trial must respect, in extras.
+    Every target is worked out before the first orbit is sampled, so a request
+    that its target function rejects fails without drawing a sample.
 
     The pass builds no convergent.  The orbit's product telescopes,
     x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}), so the same log ratio
@@ -374,7 +375,8 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
     float recursion over the digits, run only on a truncated orbit: a
     terminated one has x_n = 0.
     """
-    requests = [_check_observable(cfg, name, param) for name, param in observables]
+    resolved = [_check_observable(cfg, name, param) for name, param in observables]
+    requests = [request for request, _, _ in resolved]
     # a divergent power has no per-trial mean; its report pools every digit
     means = [None if name == "digit-power" and param >= 1 else [] for name, param in requests]
     pooled: list[int] = []
@@ -390,9 +392,9 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
             pooled.extend(digits)
         terms += len(digits)
     return [
-        _divergence_report(cfg, param, pooled) if out is None
-        else _estimate_report(cfg, name, param, out, terms)
-        for (name, param), out in zip(requests, means)
+        _divergence_report(cfg, quantity, param, pooled) if out is None
+        else _estimate_report(cfg, name, param, quantity, target, out, terms)
+        for ((name, param), quantity, target), out in zip(resolved, means)
     ]
 
 
@@ -485,7 +487,7 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
 def float_shadow_digits(x: RationalLike, N: int, max_terms: int = 200) -> list[int]:
     """Digits from a double-precision orbit. Inaccurate by design: diagnostic only."""
     check_index(N)
-    y = float(Fraction(x))
+    y = float(_as_unit_rational(x))
     digits = []
     while len(digits) < max_terms:
         if not 0.0 < y < 1.0:

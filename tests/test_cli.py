@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from ncfrac import ConstantsReport, holder_mean
+from ncfrac import ConstantsReport, ergodic, holder_mean
 from ncfrac.cli import main
 
 
@@ -209,11 +209,21 @@ class TestIndexAtTopOfFloatRange:
         ("verify", "bounds"),
         ("verify", "ulam", "--cells", "16"),
     ])
-    def test_finite_output_or_named_overflow(self, capsys, argv, N):
+    def test_finite_output_or_named_overflow(self, capsys, monkeypatch, argv, N):
+        draws = []
+        sample_pairs = ergodic._sample_pairs
+
+        def counting(cfg, trials):
+            for pair in sample_pairs(cfg, trials):
+                draws.append(pair)
+                yield pair
+
+        monkeypatch.setattr("ncfrac.ergodic._sample_pairs", counting)
         code, out, err = run_cli(capsys, *argv, "--n", str(N), "--format", "json")
         if code == 2:
             assert out == "" and err.count("\n") == 1
             assert re.fullmatch(rf"error: \S+ at N = {N} .*\n", err), err
+            assert draws == [], "the overflowing target was reached only after sampling"
             return
         assert err == ""
         results = json.loads(out, parse_constant=_reject_constant)["results"]

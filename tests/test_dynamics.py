@@ -1,6 +1,7 @@
 """Exact map dynamics: frozen examples, domain errors, and algebraic properties."""
 
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from ncfrac import (
     Expansion,
+    convergent_sequence,
     digit,
     evaluate,
     expand,
@@ -116,6 +118,23 @@ class TestExpand:
     def test_inadmissible_expansion_rejected(self):
         with pytest.raises(ValueError):
             Expansion(N=3, coeffs=(2,), terminated=True)
+
+
+@pytest.mark.parametrize("N, coeffs, message", [
+    (1, (2.5,), "digits must be integers, got 2.5"),
+    (1, ("3",), "digits must be integers, got '3'"),
+    (1, (0,), "inadmissible digit 0 < N = 1"),
+    (2, (1,), "inadmissible digit 1 < N = 2"),
+], ids=["fraction", "string", "zero", "below-index"])
+@pytest.mark.parametrize("build", [
+    lambda coeffs, N: Expansion(N, coeffs, terminated=True),
+    evaluate,
+    convergent_sequence,
+], ids=["Expansion", "evaluate", "convergent_sequence"])
+def test_every_digit_reader_rejects_the_same_digits(build, N, coeffs, message):
+    """Digits are integers >= N wherever they are read, with one message for each fault."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(coeffs, N)
 
 
 class TestEvaluate:

@@ -185,6 +185,22 @@ class TestBirkhoffEstimates:
             orbit_estimates(SampleConfig(N=1), [("log-digit", None), ("digit-power", r)])
         assert calls == []
 
+    @pytest.mark.parametrize("N, request_, error, message", [
+        (10**200, ("digit-power", -1.0), ValueError, r"holder_mean\[r=-1\] .* out of reach"),
+        (2**1024 - 2**971, ("log-digit", None), OverflowError, "khinchin .* float range"),
+        (3, ("digit-indicator", 2), ValueError, "digit must be an integer >= N = 3, got 2$"),
+        (3, ("digit-indicator", 2.5), ValueError, "digit must be an integer >= N = 3, got 2.5"),
+    ], ids=["power-order-underflows", "khinchin-overflows", "digit-below-index",
+            "fractional-digit"])
+    def test_unreachable_target_rejected_before_sampling(self, monkeypatch, N, request_,
+                                                         error, message):
+        calls = []
+        monkeypatch.setattr("ncfrac.ergodic._sample_pairs",
+                            lambda cfg, trials: calls.append(trials))
+        with pytest.raises(error, match=message):
+            orbit_estimates(SampleConfig(N=N), [("log-derivative", None), request_])
+        assert calls == []
+
     def test_infinite_power_order_still_divergent(self, monkeypatch):
         calls = []
         sample_pairs = ergodic._sample_pairs
@@ -443,3 +459,9 @@ class TestFloatShadow:
         exact = expand(x, 1, 10).coeffs
         shadow = float_shadow_digits(x, 1, 10)
         assert tuple(shadow[:5]) == exact[:5]
+
+    def test_shadow_takes_points_as_the_exact_map_does(self):
+        with pytest.raises(TypeError):
+            float_shadow_digits(0.5, 1)
+        with pytest.raises(ValueError, match="point must lie in"):
+            float_shadow_digits(Fraction(3, 2), 1)

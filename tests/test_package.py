@@ -1,9 +1,12 @@
 """The package namespace re-exports each submodule's public names exactly once,
-and every docstring example in the package runs as written."""
+every docstring example in the package runs as written, and every imported
+name is used."""
 
+import ast
 import doctest
 import importlib
 import pkgutil
+from pathlib import Path
 
 import ncfrac
 from ncfrac import constants, convergents, dynamics, ergodic, ulam
@@ -25,3 +28,35 @@ def test_docstring_examples_run():
         attempted += result.attempted
     assert failed == 0
     assert attempted >= 5
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads; __all__ entries count as reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def test_unused_import_check_sees_a_leftover():
+    assert _unused_imports("import math\nimport operator\nx = math.pi\n") == [
+        "operator (line 2)"]
+    assert _unused_imports("from __future__ import annotations\nfrom os import *\n") == []
+
+
+def test_every_import_is_used():
+    unused = {path.name: found for path in sorted(Path(ncfrac.__file__).parent.rglob("*.py"))
+              if (found := _unused_imports(path.read_text()))}
+    assert unused == {}
