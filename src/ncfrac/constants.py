@@ -52,7 +52,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import check_index
+from .dynamics import check_digits, check_index
 
 __all__ = [
     "ConstantsReport",
@@ -130,8 +130,7 @@ def frequency(N: int, M: int) -> float:
     not depend on N.
     """
     check_index(N)
-    if isinstance(M, bool) or not isinstance(M, int) or M < N:
-        raise ValueError(f"digit must be an integer >= N = {N}, got {M!r}")
+    M = check_digits((M,), N)[0]
     try:
         u = 1.0 / (M * (M + 2))
     except OverflowError:

@@ -43,10 +43,13 @@ def check_index(N: int) -> int:
 
 
 def check_digits(coeffs: Iterable[int], N: int) -> tuple[int, ...]:
-    """Validate expansion digits (integers >= N) and return them as a tuple of ints."""
+    """Validate expansion digits (integers >= N; bools are rejected) and return
+    them as a tuple of ints."""
     digits = []
     for a in coeffs:
         try:
+            if isinstance(a, bool):
+                raise TypeError
             digits.append(operator.index(a))
         except TypeError:
             raise ValueError(f"digits must be integers, got {a!r}") from None
@@ -189,8 +192,7 @@ def fixed_point(N: int, p: int, digits: int = 50) -> Fraction:
     0.618033988...
     """
     check_index(N)
-    if isinstance(p, bool) or not isinstance(p, int) or p < N:
-        raise ValueError(f"digit p must be an integer >= N = {N}, got {p!r}")
+    p = check_digits((p,), N)[0]
     if digits < 1:
         raise ValueError(f"digits must be >= 1, got {digits}")
     scale = 10 ** (digits + 2)

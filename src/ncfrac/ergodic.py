@@ -242,8 +242,9 @@ def sample_rational(cfg: SampleConfig, trial: int = 0) -> Fraction:
 def sample_orbit(cfg: SampleConfig, trial: int = 0) -> Expansion:
     """Exact expansion of one sampled rational, truncated at cfg.max_terms.
 
-    Expansion length is about denominator_bits * log(2) / levy_L(N) before
-    termination (denominators cannot outgrow q).
+    Expansion length before termination (denominators cannot outgrow q) lies
+    between denominator_bits * log(2) / levy_L(N) and
+    denominator_bits * log(2) / levy_lambda(N); the two bounds meet at N = 1.
     """
     return expand(sample_rational(cfg, trial), cfg.N, cfg.max_terms)
 

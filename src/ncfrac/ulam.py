@@ -30,8 +30,7 @@ time.  Every later row keeps only its windows' columns and
 masses, assembled for all of them at once.  The stationary solve multiplies
 pi by the head and adds the tail with one weighted bincount, so no m-by-m
 array is formed: at m = 2048 it holds 2.3 MB at N = 1 and 6.6 MB at N = 10
-instead of 33.6 MB.  :func:`transition_matrix` densifies the same masses, in
-the same order, for the library and the tests.
+instead of 33.6 MB.
 """
 
 from __future__ import annotations
@@ -53,12 +52,10 @@ __all__ = [
     "build_model",
     "density_l1_error",
     "density_profile",
-    "stationary",
-    "transition_matrix",
     "write_density_profile",
 ]
 
-# caps build_model as well as the dense transition_matrix; finer grids are out of scope
+# caps build_model, the only grid; finer grids are out of scope
 MAX_CELLS = 2048
 
 # psi(x) ~ log x - 1/(2x) - sum_k B_2k/(2k x^2k): coefficients of x^-2 .. x^-8
@@ -149,11 +146,11 @@ def _windows(N: int, m: int, K: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _compact_masses(N: int, m: int) -> tuple[np.ndarray, ...]:
-    """Exact all-branch cell masses before the final scaling by m, as
-    ``(head, rows, lengths, cols, vals)``.  ``head`` holds rows 0..H-1 densely.
-    Each later row is its boundary windows alone, the lower branches' first:
-    window w covers ``lengths[w]`` columns of row ``rows[w]``, and the windows'
-    columns and masses lie end to end in ``cols`` and ``vals``."""
+    """Exact all-branch cell masses, unscaled by m (build_model normalises
+    each row), as ``(head, rows, lengths, cols, vals)``.  ``head`` holds rows
+    0..H-1 densely.  Each later row is its boundary windows alone, the lower
+    branches' first: window w covers ``lengths[w]`` columns of row ``rows[w]``,
+    and the windows' columns and masses lie end to end in ``cols`` and ``vals``."""
     check_index(N)
     if m < 16:
         raise ValueError(f"need at least 16 cells, got {m}")
@@ -204,36 +201,6 @@ def _compact_masses(N: int, m: int) -> tuple[np.ndarray, ...]:
         tails = _psi_tail(np.array([[K[i + 1] + 1], [K[i]]]), c[:-1], 1.0 / m)
         head[i] += N * (tails[0] - tails[1])
     return head, rows, lengths, cols, vals
-
-
-def _cell_masses(N: int, m: int) -> np.ndarray:
-    """Exact all-branch cell-transition matrix before row normalisation."""
-    P, rows, lengths, cols, vals = _compact_masses(N, m)
-    # the head grows into the whole matrix in place, zero-filled below; no
-    # other reference to it exists
-    P.resize((m, m), refcheck=False)
-    # unbuffered and in order: a column in both windows of a row gets the lower
-    # branch's mass first, as in the row-by-row assembly
-    np.add.at(P, (np.repeat(rows, lengths), cols), vals)
-    P *= m
-    return P
-
-
-def transition_matrix(N: int, m: int) -> np.ndarray:
-    """Row-stochastic m-by-m cell-transition matrix of the index-N map."""
-    P = _cell_masses(N, m)
-    P /= P.sum(axis=1, keepdims=True)
-    return P
-
-
-def stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary probability vector of a row-stochastic matrix by left power
-    iteration from uniform, stopping at an L1 step below 1e-13; raises
-    :class:`PowerIterationError` (with iteration diagnostics) after 100,000.
-    """
-    P = np.asarray(P, dtype=np.float64)
-    pi, _ = _power_iteration(lambda v: v @ P, len(P))
-    return pi
 
 
 def _power_iteration(matvec: Callable[[np.ndarray], np.ndarray], m: int) -> tuple[np.ndarray, int]:

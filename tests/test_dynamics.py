@@ -15,6 +15,7 @@ from ncfrac import (
     evaluate,
     expand,
     fixed_point,
+    frequency,
     gauss_map,
     orbit,
 )
@@ -125,12 +126,15 @@ class TestExpand:
     (1, ("3",), "digits must be integers, got '3'"),
     (1, (0,), "inadmissible digit 0 < N = 1"),
     (2, (1,), "inadmissible digit 1 < N = 2"),
-], ids=["fraction", "string", "zero", "below-index"])
+    (1, (True,), "digits must be integers, got True"),
+], ids=["fraction", "string", "zero", "below-index", "bool"])
 @pytest.mark.parametrize("build", [
     lambda coeffs, N: Expansion(N, coeffs, terminated=True),
     evaluate,
     convergent_sequence,
-], ids=["Expansion", "evaluate", "convergent_sequence"])
+    lambda coeffs, N: frequency(N, coeffs[0]),
+    lambda coeffs, N: fixed_point(N, coeffs[0]),
+], ids=["Expansion", "evaluate", "convergent_sequence", "frequency", "fixed_point"])
 def test_every_digit_reader_rejects_the_same_digits(build, N, coeffs, message):
     """Digits are integers >= N wherever they are read, with one message for each fault."""
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -161,6 +165,10 @@ class TestEvaluate:
         import numpy as np
 
         assert evaluate(np.array([1, 2], dtype=np.int64), 1) == Fraction(2, 3)
+        assert frequency(1, np.int64(2)) == frequency(1, 2)
+        assert fixed_point(1, np.int64(2)) == fixed_point(1, 2)
+        # M * (M + 2) would wrap in int64 here
+        assert frequency(1, np.int64(2**40)) == frequency(1, 2**40)
 
 
 class TestFixedPoint:

@@ -22,6 +22,7 @@ from ncfrac import (
     frequency,
     levy_L,
     levy_estimate,
+    levy_lambda,
     lower_bounds,
     lyapunov_const,
     lyapunov_estimate,
@@ -121,6 +122,11 @@ class TestSampling:
         lengths = [len(sample_orbit(cfg, t)) for t in range(20)]
         predicted = 512 * math.log(2) / levy_L(1)
         assert np.mean(lengths) == pytest.approx(predicted, rel=0.05)
+        # beyond N = 1 the length lies strictly between the two bounds
+        for N in (2, 5, 10):
+            cfg = SampleConfig(N=N, trials=20, denominator_bits=512, seed=1)
+            mean = np.mean([len(sample_orbit(cfg, t)) for t in range(20)])
+            assert 512 * math.log(2) / levy_L(N) < mean < 512 * math.log(2) / levy_lambda(N)
 
     def test_larger_index_gives_shorter_expansions(self):
         cfg1 = SampleConfig(N=1, trials=10, denominator_bits=512, seed=1)
@@ -188,8 +194,8 @@ class TestBirkhoffEstimates:
     @pytest.mark.parametrize("N, request_, error, message", [
         (10**200, ("digit-power", -1.0), ValueError, r"holder_mean\[r=-1\] .* out of reach"),
         (2**1024 - 2**971, ("log-digit", None), OverflowError, "khinchin .* float range"),
-        (3, ("digit-indicator", 2), ValueError, "digit must be an integer >= N = 3, got 2$"),
-        (3, ("digit-indicator", 2.5), ValueError, "digit must be an integer >= N = 3, got 2.5"),
+        (3, ("digit-indicator", 2), ValueError, "inadmissible digit 2 < N = 3$"),
+        (3, ("digit-indicator", 2.5), ValueError, "digits must be integers, got 2.5"),
     ], ids=["power-order-underflows", "khinchin-overflows", "digit-below-index",
             "fractional-digit"])
     def test_unreachable_target_rejected_before_sampling(self, monkeypatch, N, request_,

@@ -1,10 +1,12 @@
 """The package namespace re-exports each submodule's public names exactly once,
-every docstring example in the package runs as written, and every imported
-name is used."""
+every docstring example in the package runs as written, every imported
+name is used, and every internal the benchmark tracer wraps by name exists."""
 
 import ast
 import doctest
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -60,3 +62,20 @@ def test_every_import_is_used():
     unused = {path.name: found for path in sorted(Path(ncfrac.__file__).parent.rglob("*.py"))
               if (found := _unused_imports(path.read_text()))}
     assert unused == {}
+
+
+def test_tracer_targets_resolve():
+    # the tracer skips a name it cannot find, so a renamed internal would only
+    # read 0 in the benchmark's per-layer metrics
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for layer, attr in tracing.EXTRA_TARGETS:
+        owner, _, method = attr.partition(".")
+        target = vars(importlib.import_module(f"ncfrac.{layer}")).get(owner)
+        if method:
+            target = vars(target).get(method) if isinstance(target, type) else None
+            assert isinstance(target, classmethod), f"{layer}.{attr}"
+        else:
+            assert inspect.isfunction(target), f"{layer}.{attr}"

@@ -14,13 +14,37 @@ from ncfrac import (
     density,
     density_l1_error,
     density_profile,
-    stationary,
-    transition_matrix,
     write_density_profile,
 )
-from ncfrac.ulam import _cell_masses, _power_iteration, _psi_tail
+from ncfrac.ulam import _compact_masses, _power_iteration, _psi_tail
 
 _FLOAT_MAX = int(sys.float_info.max)
+
+
+def _cell_masses(N, m):
+    """The dense m-by-m matrix of the compact masses times m, before row
+    normalisation: the oracle that build_model's operator is checked against."""
+    P, rows, lengths, cols, vals = _compact_masses(N, m)
+    # the head grows into the whole matrix in place, zero-filled below; no
+    # other reference to it exists
+    P.resize((m, m), refcheck=False)
+    # unbuffered and in order: a column in both windows of a row gets the lower
+    # branch's mass first, as in the row-by-row assembly
+    np.add.at(P, (np.repeat(rows, lengths), cols), vals)
+    P *= m
+    return P
+
+
+def transition_matrix(N, m):
+    """Row-stochastic dense cell-transition matrix of the index-N map."""
+    P = _cell_masses(N, m)
+    P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
+def stationary(P):
+    """Stationary vector of a dense row-stochastic matrix by the library's solve."""
+    return _power_iteration(lambda v: v @ P, len(P))[0]
 
 
 def _blocked_cell_masses(N, m, block=6):
@@ -55,7 +79,7 @@ _ORACLE_CASES = [
       for N in (1, 2, 3, 5, 7, 10, 12, 100, 1000, 10**6, 10**9, 10**12, 4 * 10**12,
                 10**15, 10**18, 10**100)),
     *((N, 2048) for N in (1, 10, 10**12, 10**15)),
-    # the last indices inside the float-range guard of transition_matrix
+    # the last indices inside the float-range guard of _compact_masses
     *(pytest.param(_FLOAT_MAX // m - d, m, id=f"floatmax//{m}-{d}-{m}")
       for m in (16, 17, 100, 512, 2048) for d in (0, 1)),
 ]
@@ -149,9 +173,9 @@ class TestMatrixAssembly:
 
     def test_grid_size_limits(self):
         with pytest.raises(ValueError):
-            transition_matrix(1, 8)
+            build_model(1, 8)
         with pytest.raises(ValueError):
-            transition_matrix(1, 4096)
+            build_model(1, 4096)
 
 
 class TestStationary:
