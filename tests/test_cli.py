@@ -300,6 +300,12 @@ class TestVerify:
         (row,) = json.loads(out, parse_constant=_reject_constant)["results"]
         assert row["pass"] is True
 
+    def test_ulam_index_beyond_float_range_names_the_row(self, capsys):
+        N = 10**308  # N*m is beyond the float range at 2048 cells
+        code, out, err = run_cli(capsys, "verify", "ulam", "--n", str(N), "--cells", "2048")
+        assert code == 2 and out == ""
+        assert err == f"error: density-l1[m=2048] at N = {N} is beyond the float range\n"
+
     def test_suite_choices(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["verify", "--help"])
@@ -343,7 +349,10 @@ DATA = Path(__file__).parent / "data"
 # captured before the sampler read PCG64's raw words instead of Generator.bytes;
 # the bounds entry was captured before the Monte Carlo suites became one table
 # of observable requests, and the ulam entry once the stationary solve ran on
-# the compact operator, which moved its two L1 errors in the last digits
+# the compact operator, which moved its two L1 errors in the last digits; the
+# 2048-cell and 100-cell ulam entries were added before the psi tails shared
+# their edge powers and cut their series per term, and hold every L1 error and
+# iteration count of both the shared-power path and its fallback bit for bit
 VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())
 # exact CSV and plain text of a suite with floor rows and of the bounds suite,
 # captured at the same point as the bounds and ulam JSON

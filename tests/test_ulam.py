@@ -162,14 +162,28 @@ class TestMatrixAssembly:
         exact = _mpmath_matrix(N, m)
         assert np.abs(transition_matrix(N, m) - exact).max() < 1e-13
 
-    @pytest.mark.parametrize("m", [16, 512, 2048])
+    @pytest.mark.parametrize("m", [16, 17, 100, 512, 2048])
     def test_psi_series_skip_changes_no_bit(self, m):
+        # 16, 512 and 2048 share the edge powers while a + j/m is exact; 17 and
+        # 100 take two powers per cell
         x0, h = np.arange(m + 1)[:-1] / m, 1.0 / m
         top = float(_FLOAT_MAX // m)
-        start = 2.0**56 * m  # the first a whose series is skipped
-        for a in (*np.floor(np.geomspace(32.0, top, 160)), np.nextafter(start, 0), start, top):
+        start = 2.0**56 * m  # the first a whose series was skipped before the per-term cut
+        cuts = (92.0, 389.0, 8326.0, 154981283.0)  # the first a without term p = 4, 3, 2, 1
+        for a in (*np.floor(np.geomspace(32.0, top, 160)), np.nextafter(start, 0), start, top,
+                  *cuts, *(cut - 1 for cut in cuts)):
             column = np.array([[a], [a + 1]])
             assert np.array_equal(_psi_tail(column, x0, h), _psi_tail_full_series(column, x0, h))
+        # the real run rows' columns [K_{i+1} + 1, K_i], four rows to a call as
+        # in _compact_masses, with K_0 = inf
+        for N in (1, 2, 5, 10, 100, 10**6):
+            K = np.array([math.inf, *(N * m // i for i in range(1, m + 1))], dtype=np.float64)
+            run = np.flatnonzero(K[:-1] - K[1:] >= 2)
+            for s in range(0, len(run), 4):
+                i = run[s : s + 4]
+                column = np.stack([K[i + 1] + 1, K[i]], axis=1).reshape(-1, 1)
+                assert np.array_equal(_psi_tail(column, x0, h),
+                                      _psi_tail_full_series(column, x0, h)), (N, i)
 
     def test_grid_size_limits(self):
         with pytest.raises(ValueError):
@@ -196,12 +210,14 @@ class TestStationary:
         assert np.abs(model.stationary - stationary(P)).max() <= 1e-15
         assert model.iterations == _power_iteration(lambda pi: pi @ P, m)[1]
 
-    def test_compact_model_memory(self):
-        # the dense 2048-cell matrix alone is 32 MiB
-        build_model(1, 2048)
+    @pytest.mark.parametrize("N", [1, 10])
+    def test_compact_model_memory(self, N):
+        # the dense 2048-cell matrix alone is 32 MiB; N = 10 has the largest
+        # head and the most psi tails of the benchmark's grid
+        build_model(N, 2048)
         tracemalloc.start()
         try:
-            build_model(1, 2048)
+            build_model(N, 2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
