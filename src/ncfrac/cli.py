@@ -64,15 +64,19 @@ def _parse_fraction(text: str) -> Fraction:
 
 def _parse_n_values(text: str) -> list[int]:
     """Accept "3", "1..5" and "1,2,5"; the constants and verify suites need float(N)."""
+    message = f"indices must be integers >= 1, got {text!r}"
     out: list[int] = []
     for chunk in text.split(","):
         lo, dots, hi = chunk.strip().partition("..")
-        values = range(int(lo), int(hi if dots else lo) + 1)
+        try:
+            values = range(int(lo), int(hi if dots else lo) + 1)
+        except ValueError:
+            raise ValueError(message) from None
         if values and values[-1] > sys.float_info.max:
             raise ValueError(f"index {values[-1]} is beyond the float range")
         out.extend(values)
     if not out or any(n < 1 for n in out):
-        raise ValueError(f"indices must be integers >= 1, got {text!r}")
+        raise ValueError(message)
     return out
 
 
@@ -116,8 +120,12 @@ def _cmd_expand(args) -> tuple[list[dict], int]:
 
 
 def _cmd_constants(args) -> tuple[list[dict], int]:
-    reports = constants.ConstantsReport.compute_many(
-        _parse_n_values(args.n), [float(chunk) for chunk in args.r.split(",")])
+    ns = _parse_n_values(args.n)
+    try:
+        rs = [float(chunk) for chunk in args.r.split(",")]
+    except ValueError:
+        raise ValueError(f"orders must be numbers, got {args.r!r}") from None
+    reports = constants.ConstantsReport.compute_many(ns, rs)
     return [report.to_record() for report in reports], 0
 
 

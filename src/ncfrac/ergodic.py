@@ -27,7 +27,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -249,50 +250,14 @@ def sample_orbit(cfg: SampleConfig, trial: int = 0) -> Expansion:
     return expand(sample_rational(cfg, trial), cfg.N, cfg.max_terms)
 
 
-def _check_observable(cfg: SampleConfig, observable: str, param) -> tuple[tuple, str, float]:
-    """Resolve a request to ((observable, param), quantity, closed-form target), M = N by
-    default; the target function rejects what it cannot evaluate, before any sampling."""
-    N = cfg.N
-    if observable == "log-digit":
-        return (observable, param), "geometric-mean", constants.khinchin(N)
-    if observable == "digit-power":
-        if param is None:
-            raise ValueError("digit-power needs the exponent r")
-        if param == 0:
-            raise ValueError("order 0 is the geometric mean; use the log-digit observable")
-        # r >= 1 diverges; its report is a diagnostic with no series behind it
-        target = math.inf if param >= 1 else constants.holder_mean(N, param)
-        return (observable, param), f"digit-power[r={constants._order_label(param)}]", target
-    if observable == "digit-indicator":
-        param = N if param is None else param
-        return (observable, param), f"digit-frequency[M={param}]", constants.frequency(N, param)
-    if observable == "log-derivative":
-        return (observable, param), "lyapunov", constants.lyapunov_const(N)
-    if observable == "denominator-growth":
-        return (observable, param), "denominator-growth", constants.levy_L(N)
-    raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
+def _growth_rate(digits: list[int], log_ratio: float, x_n: float, N: int) -> float:
+    """log(B_n)/n of one orbit from log_ratio = log(x_0 * ... * x_{n-1}) and its last image x_n.
 
-
-def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, x_n: float,
-                N: int) -> float:
-    """Per-trial mean of one observable.
-
-    log_ratio is log(x_0 * ... * x_{n-1}) and x_n the last image (0 when the
-    orbit terminated).
+    x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}), with rho_n = B_{n-1} / B_n
+    from rho_k = 1 / (a_k + N * rho_{k-1}), rho_0 = 0; a terminated orbit has
+    x_n = 0, where log1p(x_n * rho_n) = 0 needs no rho.
     """
     n = len(digits)
-    if observable == "log-digit":
-        return sum(map(math.log, digits)) / n
-    if observable == "digit-power":
-        return sum(math.exp(param * math.log(a)) for a in digits) / n
-    if observable == "digit-indicator":
-        return digits.count(param) / n
-    if observable == "log-derivative":
-        # sum of log(N / x_k^2)
-        return (n * math.log(N) - 2.0 * log_ratio) / n
-    # denominator-growth: x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}),
-    # with rho_n = B_{n-1} / B_n from rho_k = 1 / (a_k + N * rho_{k-1}), rho_0 = 0;
-    # a terminated orbit has x_n = 0, where log1p(x_n * rho_n) = 0 needs no rho
     if x_n == 0:
         return (n * math.log(N) - log_ratio) / n
     rho = 0.0
@@ -302,6 +267,11 @@ def _trial_mean(observable: str, param, digits: list[int], log_ratio: float, x_n
         except OverflowError:  # a is beyond the float range, where N * rho <= 1 is negligible
             rho = 1 / a
     return (n * math.log(N) - log_ratio - math.log1p(x_n * rho)) / n
+
+
+def _lyapunov_rate(n: int, log_ratio: float, N: int) -> float:
+    """Mean of log(N / x_k^2) over n steps; log_ratio is log(x_0 * ... * x_{n-1})."""
+    return (n * math.log(N) - 2.0 * log_ratio) / n
 
 
 def _digit_power(a: int, r: float) -> float:
@@ -314,19 +284,19 @@ def _digit_power(a: int, r: float) -> float:
         return math.inf
 
 
-def _divergence_report(cfg: SampleConfig, quantity: str, r: float,
-                       digits: list[int]) -> EstimateReport:
-    """Running means of digit**r pooled over trials; no finite estimate exists."""
-    powers = np.array([_digit_power(a, r) for a in digits])
+def _divergence_report(cfg: SampleConfig, quantity: str, r: float, orbits: list[list[int]],
+                       terms: int) -> EstimateReport:
+    """Running means of digit**r over every orbit's digits in turn; no finite estimate exists."""
+    powers = np.array([_digit_power(a, r) for digits in orbits for a in digits])
     with np.errstate(over="ignore"):  # a running sum past the float range is inf
-        running = np.cumsum(powers) / np.arange(1, len(powers) + 1)
-    marks = [n for n in (100, 300, 1000, 3000, 10000, 30000, 100000) if n <= len(powers)]
-    if not marks or marks[-1] != len(powers):
-        marks.append(len(powers))
+        running = np.cumsum(powers) / np.arange(1, terms + 1)
+    marks = [n for n in (100, 300, 1000, 3000, 10000, 30000, 100000) if n <= terms]
+    if not marks or marks[-1] != terms:
+        marks.append(terms)
     return EstimateReport.from_value(
         quantity, math.inf, math.inf,
         trials=cfg.trials,
-        terms=int(len(powers)),
+        terms=terms,
         extras={
             "diverges": True,
             "checkpoints": marks,
@@ -335,26 +305,70 @@ def _divergence_report(cfg: SampleConfig, quantity: str, r: float,
     )
 
 
-def _estimate_report(cfg: SampleConfig, observable: str, param, quantity: str, target: float,
-                     means: list[float], terms: int) -> EstimateReport:
-    """Pool per-trial means into one value, with its extras, against the resolved target."""
-    means = np.array(means)
-    grand = float(means.mean())
-    std = float(means.std(ddof=1)) if cfg.trials > 1 else 0.0
-    value, extras = grand, {}
+def _pooled(cfg: SampleConfig, quantity: str, target: float, stat: Callable,
+            pool: Callable = lambda grand, means: (grand, {})) -> tuple[Callable, Callable]:
+    """(stat, report) of a request whose report pools its per-trial means.
+
+    pool(grand, means) gives the value and extras from the grand mean and the
+    array of per-trial means; by default the value is the grand mean.
+    """
+
+    def report(means: list[float], terms: int) -> EstimateReport:
+        means = np.array(means)
+        grand = float(means.mean())
+        std = float(means.std(ddof=1)) if cfg.trials > 1 else 0.0
+        value, extras = pool(grand, means)
+        return EstimateReport.from_value(
+            quantity, value, target,
+            per_trial_std=std, trials=cfg.trials, terms=terms, extras=extras,
+        )
+
+    return stat, report
+
+
+def _resolve(cfg: SampleConfig, observable: str, param) -> tuple[Callable, Callable]:
+    """A request's per-trial stat(digits, log_ratio, x_n) and its report(stats, terms).
+
+    Each branch checks its request and works out its label and target (M = N
+    by default) before any sampling, so a target function rejects what it
+    cannot evaluate without drawing a sample.
+    """
+    N = cfg.N
     if observable == "log-digit":
-        value = constants._checked(quantity, cfg.N, math.exp, grand)
-        extras = {"scale": "log", "log_value": grand}
-    elif observable == "digit-power":
-        value = grand ** (1.0 / param)
-        extras = {"scale": f"power[{constants._order_label(param)}]", "power_mean": grand}
-    elif observable == "denominator-growth":
-        _, denom_bound = constants.lower_bounds(cfg.N)
-        extras = {"min_rate": float(means.min()), "denominator_bound": denom_bound}
-    return EstimateReport.from_value(
-        quantity, value, target,
-        per_trial_std=std, trials=cfg.trials, terms=terms, extras=extras,
-    )
+        quantity = "geometric-mean"
+        return _pooled(cfg, quantity, constants.khinchin(N),
+                       lambda digits, *_: sum(map(math.log, digits)) / len(digits),
+                       lambda grand, means: (constants._checked(quantity, N, math.exp, grand),
+                                             {"scale": "log", "log_value": grand}))
+    if observable == "digit-power":
+        if param is None:
+            raise ValueError("digit-power needs the exponent r")
+        if param == 0:
+            raise ValueError("order 0 is the geometric mean; use the log-digit observable")
+        target = math.inf if param >= 1 else constants.holder_mean(N, param)
+        label = constants._order_label(param)
+        quantity = f"digit-power[r={label}]"
+        if param >= 1:  # diverges: a diagnostic over the trials' digits, with no series behind it
+            return lambda digits, *_: digits, partial(_divergence_report, cfg, quantity, param)
+        return _pooled(
+            cfg, quantity, target,
+            lambda digits, *_: sum(math.exp(param * math.log(a)) for a in digits) / len(digits),
+            lambda grand, means: (grand ** (1.0 / param),
+                                  {"scale": f"power[{label}]", "power_mean": grand}))
+    if observable == "digit-indicator":
+        param = N if param is None else param
+        return _pooled(cfg, f"digit-frequency[M={param}]", constants.frequency(N, param),
+                       lambda digits, *_: digits.count(param) / len(digits))
+    if observable == "log-derivative":
+        return _pooled(cfg, "lyapunov", constants.lyapunov_const(N),
+                       lambda digits, log_ratio, _: _lyapunov_rate(len(digits), log_ratio, N))
+    if observable == "denominator-growth":
+        return _pooled(
+            cfg, "denominator-growth", constants.levy_L(N),
+            lambda *orbit: _growth_rate(*orbit, N),
+            lambda grand, means: (grand, {"min_rate": float(means.min()),
+                                          "denominator_bound": constants.lower_bounds(N)[1]}))
+    raise ValueError(f"unknown observable {observable!r}; expected one of {OBSERVABLES}")
 
 
 def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[EstimateReport]:
@@ -366,37 +380,28 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
     frequency; "log-derivative", lyapunov_const; "denominator-growth",
     log(B_n)/n at the deepest n, levy_L, with the minimum per-trial rate and
     the denominator lower bound, which every trial must respect, in extras.
-    Every target is worked out before the first orbit is sampled, so a request
-    that its target function rejects fails without drawing a sample.
+    Each request's resolver (:func:`_resolve`) works out its target before the
+    first orbit is sampled, so a request that its target function rejects
+    fails without drawing a sample; a divergent power's per-trial statistic
+    is the trial's digit list, and its report pools them in trial order.
 
     The pass builds no convergent.  The orbit's product telescopes,
     x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}), so the same log ratio
-    gives the Lyapunov sum and log(B_n) = n*log(N) - log(x_0 ... x_{n-1})
-    - log1p(x_n * B_{n-1}/B_n), where the ratio B_{n-1}/B_n comes from a
-    float recursion over the digits, run only on a truncated orbit: a
-    terminated one has x_n = 0.
+    gives the Lyapunov sum and log(B_n) (see :func:`_growth_rate`), where the
+    ratio B_{n-1}/B_n comes from a float recursion over the digits, run only
+    on a truncated orbit: a terminated one has x_n = 0.
     """
-    resolved = [_check_observable(cfg, name, param) for name, param in observables]
-    requests = [request for request, _, _ in resolved]
-    # a divergent power has no per-trial mean; its report pools every digit
-    means = [None if name == "digit-power" and param >= 1 else [] for name, param in requests]
-    pooled: list[int] = []
+    requests = [_resolve(cfg, name, param) for name, param in observables]
+    stats: list[list] = [[] for _ in requests]
     terms = 0
     for p0, q0 in _sample_pairs(cfg, range(cfg.trials)):
         digits, p, q = _walk(p0, q0, cfg.N, cfg.max_terms)
         # q is the last numerator stepped from: x_0 * ... * x_{n-1} = q / q0
         log_ratio = math.log(q) - math.log(q0)
-        for (name, param), out in zip(requests, means):
-            if out is not None:
-                out.append(_trial_mean(name, param, digits, log_ratio, p / q, cfg.N))
-        if None in means:
-            pooled.extend(digits)
+        for (stat, _), out in zip(requests, stats):
+            out.append(stat(digits, log_ratio, p / q))
         terms += len(digits)
-    return [
-        _divergence_report(cfg, quantity, param, pooled) if out is None
-        else _estimate_report(cfg, name, param, quantity, target, out, terms)
-        for ((name, param), quantity, target), out in zip(resolved, means)
-    ]
+    return [report(out, terms) for (_, report), out in zip(requests, stats)]
 
 
 def birkhoff_estimate(
@@ -476,7 +481,7 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
     log_ratio = math.log(q) - math.log(z.denominator)
     lyap_report = EstimateReport.from_value(
         "lyapunov[const-digit]",
-        _trial_mean("log-derivative", None, coeffs, log_ratio, 0.0, N),
+        _lyapunov_rate(depth, log_ratio, N),
         lyap_bound,
         trials=1,
         terms=depth,

@@ -64,6 +64,9 @@ class TestExpand:
     def test_malformed_fraction_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "expand", "2/0")
         assert code == 2 and "error:" in err
+        code, out, err = run_cli(capsys, "expand", "a/b")
+        assert (code, out) == (2, "")
+        assert err == "error: expected an exact fraction like 2/3, got 'a/b'\n"
 
     def test_decimal_rejected(self, capsys):
         code, _, err = run_cli(capsys, "expand", "0.5")
@@ -107,6 +110,19 @@ class TestConstants:
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--n", "0..2")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["constants", "verify levy"])
+    @pytest.mark.parametrize("n", ["0", "2..1", "1.5", "abc", "1..", "1,,2", "1..3,x"])
+    def test_bad_indices_name_the_flag(self, capsys, command, n):
+        code, out, err = run_cli(capsys, *command.split(), "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: indices must be integers >= 1, got {n!r}\n"
+
+    @pytest.mark.parametrize("r", ["abc", "1,,2", "0.5,x"])
+    def test_bad_orders_name_the_flag(self, capsys, r):
+        code, out, err = run_cli(capsys, "constants", f"--r={r}")
+        assert (code, out) == (2, "")
+        assert err == f"error: orders must be numbers, got {r!r}\n"
 
     @pytest.mark.parametrize("r", ["nan", "-inf", "-1,nan"])
     def test_non_finite_order_exits_2(self, capsys, r):
@@ -352,7 +368,9 @@ DATA = Path(__file__).parent / "data"
 # the compact operator, which moved its two L1 errors in the last digits; the
 # 2048-cell and 100-cell ulam entries were added before the psi tails shared
 # their edge powers and cut their series per term, and hold every L1 error and
-# iteration count of both the shared-power path and its fallback bit for bit
+# iteration count of both the shared-power path and its fallback bit for bit;
+# the truncated levy entry (every other orbit there terminates, so it alone
+# runs the rho recursion) was added before each observable got one resolver
 VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())
 # exact CSV and plain text of a suite with floor rows and of the bounds suite,
 # captured at the same point as the bounds and ulam JSON

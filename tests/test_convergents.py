@@ -39,6 +39,7 @@ class TestRecursion:
         trace = convergent_sequence([1, 2], 1)
         assert [(c.A, c.B) for c in trace.convergents] == [(0, 1), (1, 1), (2, 3)]
         assert trace.ratio(2) == Fraction(2, 3)
+        assert trace.ratio(0) == 0
 
     def test_unreduced_convention(self):
         trace = convergent_sequence([4], 2)
@@ -139,6 +140,16 @@ class TestErrorSandwich:
         trace = convergent_sequence(expand(x, 1).coeffs, 1)
         assert error_bounds_check(trace, x)
 
+    def test_tampered_denominator_detected(self):
+        # B_1 too large breaks the upper bound at n = 1, B_2 too small the lower one
+        x = Fraction(5, 13)
+        trace = convergent_sequence(expand(x, 1).coeffs, 1)
+        for n, B in ((1, 50), (2, 1)):
+            doctored = list(trace.convergents)
+            doctored[n] = Convergent(n, doctored[n].A, B)
+            assert not error_bounds_check(
+                ConvergentTrace(N=1, coeffs=trace.coeffs, convergents=tuple(doctored)), x)
+
     def test_rejects_mismatched_point(self):
         trace = convergent_sequence(expand(Fraction(2, 3), 1).coeffs, 1)
         with pytest.raises(ValueError):
@@ -171,6 +182,10 @@ class TestApproximationRate:
     def test_error_beyond_termination(self):
         with pytest.raises(ValueError):
             approximation_rate(Fraction(2, 3), 1, 5)
+
+    def test_rejects_depth_below_one(self):
+        with pytest.raises(ValueError, match="depth must be >= 1, got 0"):
+            approximation_rate(Fraction(2, 3), 1, 0)
 
 
 class TestDenominatorRateLowerBound:

@@ -80,6 +80,8 @@ class TestGaussMap:
             gauss_map(Fraction(1, 2), 0)
         with pytest.raises(ValueError):
             gauss_map(Fraction(1, 2), -3)
+        with pytest.raises(ValueError, match="map index must be a positive integer, got 2.5"):
+            gauss_map(Fraction(1, 2), 2.5)
 
 
 class TestDigit:
@@ -115,6 +117,8 @@ class TestExpand:
 
     def test_max_terms_zero(self):
         assert expand(Fraction(2, 3), 1, max_terms=0).coeffs == ()
+        with pytest.raises(ValueError, match="max_terms must be >= 0, got -1"):
+            expand(Fraction(2, 3), 1, max_terms=-1)
 
     def test_inadmissible_expansion_rejected(self):
         with pytest.raises(ValueError):
@@ -191,6 +195,10 @@ class TestFixedPoint:
     def test_rejects_digit_below_index(self):
         with pytest.raises(ValueError):
             fixed_point(3, 2)
+
+    def test_rejects_precision_below_one(self):
+        with pytest.raises(ValueError, match="digits must be >= 1, got 0"):
+            fixed_point(1, 1, digits=0)
 
 
 class TestOrbit:

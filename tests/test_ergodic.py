@@ -8,6 +8,7 @@ and sit well inside the tolerances the estimators are designed for.
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ncfrac import (
     birkhoff_estimate,
     bound_achievement,
     convergent_sequence,
+    evaluate,
     expand,
     float_shadow_digits,
     frequency,
@@ -35,6 +37,7 @@ from ncfrac import (
 from ncfrac import ergodic
 from ncfrac.dynamics import _walk
 
+ORBIT_GOLDEN = Path(__file__).parent / "data" / "orbit_estimates_golden.json"
 CFG = SampleConfig(N=1, trials=50, denominator_bits=256, seed=11)
 CFG3 = SampleConfig(N=3, trials=50, denominator_bits=256, seed=11)
 
@@ -47,6 +50,8 @@ class TestSampling:
             SampleConfig(N=1, trials=0)
         with pytest.raises(ValueError):
             SampleConfig(N=1, denominator_bits=32)
+        with pytest.raises(ValueError, match="max_terms must be >= 1, got 0"):
+            SampleConfig(N=1, max_terms=0)
 
     def test_denominator_has_requested_bits(self):
         for trial in range(5):
@@ -250,7 +255,12 @@ class TestBirkhoffEstimates:
             lyapunov_estimate(cfg),
             levy_estimate(cfg),
         ]
-        assert orbit_estimates(cfg, requests) == singles
+        reports = orbit_estimates(cfg, requests)
+        assert reports == singles
+        # the records were captured before each observable's label, target,
+        # per-trial statistic and pooling moved into one resolver per request
+        records = json.loads(json.dumps([report.to_record() for report in reports]))
+        assert records == json.loads(ORBIT_GOLDEN.read_text())
 
 
 class TestDivergentObservable:
@@ -352,7 +362,7 @@ class TestLyapunovAndLevy:
             assert (p == 0) == (max_terms == 10_000)
             log_ratio = math.log(q) - math.log(q0)
             full = self._full_rho_rate(digits, log_ratio, p / q, N)
-            rate = ergodic._trial_mean("denominator-growth", None, digits, log_ratio, p / q, N)
+            rate = ergodic._growth_rate(digits, log_ratio, p / q, N)
             assert rate == full
             if p:  # a truncated orbit still takes its rho term
                 assert rate != (len(digits) * math.log(N) - log_ratio) / len(digits)
@@ -360,6 +370,14 @@ class TestLyapunovAndLevy:
         report = levy_estimate(cfg)
         assert report.value == float(np.mean(rates))
         assert report.extras["min_rate"] == min(rates)
+
+    def test_rate_past_the_float_range(self):
+        # a digit beyond the float range takes the rho recursion's overflow branch
+        x = evaluate([2, 10**400, 3, 5], 2)
+        digits, p, q = _walk(x.numerator, x.denominator, 2, 3)
+        assert digits == [2, 10**400, 3] and p
+        rate = ergodic._growth_rate(digits, math.log(q) - math.log(x.denominator), p / q, 2)
+        assert rate == math.log(convergent_sequence(digits, 2).final.B) / 3
 
     def test_levy_estimate(self):
         report = levy_estimate(CFG3)
@@ -459,6 +477,13 @@ class TestFloatShadow:
                 # digits go wrong within a few dozen steps, never beyond ~50
                 assert step is not None
                 assert 3 <= step <= 50
+
+    def test_shadow_of_a_short_expansion(self):
+        # 1/2 is exact in binary: the shadow reaches 0 with the exact orbit
+        assert float_shadow_digits(Fraction(1, 2), 1) == [2]
+        assert shadow_divergence_step(Fraction(1, 2), 1) is None
+        # 1/2 - 10**-30 rounds to 1/2, so its shadow stops a digit early
+        assert shadow_divergence_step(Fraction(1, 2) - Fraction(1, 10**30), 1) == 1
 
     def test_shadow_agrees_initially(self):
         x = sample_rational(CFG, 0)

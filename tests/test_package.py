@@ -1,13 +1,16 @@
 """The package namespace re-exports each submodule's public names exactly once,
 every docstring example in the package runs as written, every imported
-name is used, and every internal the benchmark tracer wraps by name exists."""
+name is used, every internal the benchmark tracer wraps by name exists, and
+the declared console script resolves and runs."""
 
 import ast
 import doctest
 import importlib
 import importlib.util
 import inspect
+import json
 import pkgutil
+import re
 from pathlib import Path
 
 import ncfrac
@@ -79,3 +82,22 @@ def test_tracer_targets_resolve():
             assert isinstance(target, classmethod), f"{layer}.{attr}"
         else:
             assert inspect.isfunction(target), f"{layer}.{attr}"
+
+
+def _console_scripts() -> dict[str, str]:
+    """[project.scripts] of pyproject.toml, read with the stdlib (Python 3.10 has no tomllib)."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    return dict(re.findall(r'^([\w.-]+)\s*=\s*"([^"]+)"', section[1], re.M))
+
+
+def test_console_script_runs(capsys):
+    # the two commands of the CI step "Installed console script", run in-process
+    scripts = _console_scripts()
+    assert scripts == {"ncfrac": "ncfrac.cli:main"}
+    module, _, attr = scripts["ncfrac"].partition(":")
+    main = getattr(importlib.import_module(module), attr)
+    assert main(["constants", "--n", "1..3", "--format", "json"]) == 0
+    assert [row["N"] for row in json.loads(capsys.readouterr().out)["results"]] == [1, 2, 3]
+    assert main(["verify", "bounds", "--n", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
