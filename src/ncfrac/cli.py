@@ -19,7 +19,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 from . import __version__, constants, ergodic, ulam
 from .convergents import convergent_sequence
@@ -36,17 +37,6 @@ TOLERANCES = {
     "levy-floor": 0.01,      # absolute slack on the denominator lower bound
     "ulam": 0.01,            # absolute L1 error
 }
-
-#: The observable requests of each Monte Carlo suite at index n, in row order
-#: (see ergodic.orbit_estimates); bounds and ulam check exact orbits and the grid.
-ORBIT_REQUESTS = {
-    "birkhoff": lambda n: [("log-digit", None), ("digit-indicator", None)],
-    "levy": lambda n: [("denominator-growth", None)],
-    "lyapunov": lambda n: [("log-derivative", None)],
-    "frequencies": lambda n: [("digit-indicator", m) for m in range(n, n + 3)],
-}
-
-SUITES = (*ORBIT_REQUESTS, "bounds", "ulam")
 
 
 def _parse_fraction(text: str) -> Fraction:
@@ -68,9 +58,14 @@ def _parse_n_values(text: str) -> list[int]:
     out: list[int] = []
     for chunk in text.split(","):
         lo, dots, hi = chunk.strip().partition("..")
+        top = (hi if dots else lo).strip()
         try:
-            values = range(int(lo), int(hi if dots else lo) + 1)
+            values = range(int(lo), int(top) + 1)
         except ValueError:
+            # int() reads no more than 4300 digits and str() writes no more,
+            # so a longer index is named by its text
+            if lo.strip().isdecimal() and top.isdecimal() and float(top) > sys.float_info.max:
+                raise ValueError(f"index {top} is beyond the float range") from None
             raise ValueError(message) from None
         if values and values[-1] > sys.float_info.max:
             raise ValueError(f"index {values[-1]} is beyond the float range")
@@ -130,68 +125,66 @@ def _cmd_constants(args) -> tuple[list[dict], int]:
 
 
 def _row(suite: str, n: int, quantity: str, value, target, tolerance: float, deviation,
-         passed: bool, **extras) -> dict:
-    """One verify row: the eight keys every suite reports, then its own extras."""
+         **extras) -> dict:
+    """One verify row: the eight keys every suite reports, then its own extras.
+
+    A row passes exactly when its deviation is finite and within its tolerance.
+    """
     return {"suite": suite, "N": n, "quantity": quantity, "value": value, "target": target,
-            "tolerance": tolerance, "deviation": deviation, "pass": passed, **extras}
+            "tolerance": tolerance, "deviation": deviation,
+            "pass": math.isfinite(deviation) and deviation <= tolerance, **extras}
 
 
-def _check(suite: str, n: int, report: ergodic.EstimateReport, tolerance: float,
-           absolute: bool = False) -> dict:
-    deviation = report.abs_deviation if absolute else report.rel_deviation
-    return _row(suite, n, tolerance=tolerance, deviation=deviation,
-                passed=bool(math.isfinite(deviation) and deviation <= tolerance),
-                **report.to_record())
-
-
-def _suite_orbits(suite: str, ns, args) -> list[dict]:
-    """The suite's rows from one ergodic.orbit_estimates call per index.
+def _orbit_rows(requests: Callable[[int], list], n: int, args) -> list[dict]:
+    """A Monte Carlo suite's rows at index n from one ergodic.orbit_estimates call.
 
     Every denominator-growth report is followed by its floor row: the
     slowest trial's rate against the worst-case denominator bound.
     """
+    cfg = ergodic.SampleConfig(N=n, trials=args.trials, denominator_bits=args.bits,
+                               max_terms=args.max_terms, seed=args.seed)
     rows = []
-    for n in ns:
-        cfg = ergodic.SampleConfig(N=n, trials=args.trials, denominator_bits=args.bits,
-                                   max_terms=args.max_terms, seed=args.seed)
-        for report in ergodic.orbit_estimates(cfg, ORBIT_REQUESTS[suite](n)):
-            rows.append(_check(suite, n, report, TOLERANCES[suite]))
-            if report.quantity == "denominator-growth":
-                rate, bound = report.extras["min_rate"], report.extras["denominator_bound"]
-                rows.append(_row(suite, n, "denominator-growth[floor]", rate, bound,
-                                 TOLERANCES["levy-floor"], max(0.0, bound - rate),
-                                 rate >= bound - TOLERANCES["levy-floor"]))
+    for report in ergodic.orbit_estimates(cfg, requests(n)):
+        rows.append(_row(args.suite, n, tolerance=TOLERANCES[args.suite],
+                         deviation=report.rel_deviation, **report.to_record()))
+        if report.quantity == "denominator-growth":
+            rate, bound = report.extras["min_rate"], report.extras["denominator_bound"]
+            rows.append(_row(args.suite, n, "denominator-growth[floor]", rate, bound,
+                             TOLERANCES["levy-floor"], max(0.0, bound - rate)))
     return rows
 
 
-def _suite_bounds(ns) -> list[dict]:
-    rows = []
-    for n in ns:
-        lyap_bound, denom_bound = constants.lower_bounds(n)
-        identity_gap = abs(2.0 * denom_bound - math.log(n) - lyap_bound)
-        rows.append(_row("bounds", n, "bound-identity", identity_gap, 0.0,
-                         TOLERANCES["bounds-identity"], identity_gap,
-                         identity_gap <= TOLERANCES["bounds-identity"]))
-        for report in ergodic.bound_achievement(n, depth=200):
-            rows.append(_check("bounds", n, report, TOLERANCES["bounds"], absolute=True))
-    return rows
+def _bounds_rows(n: int, args) -> list[dict]:
+    """The bound identity at index n, then both bounds on the constant-digit orbit."""
+    lyap_bound, denom_bound = constants.lower_bounds(n)
+    gap = abs(2.0 * denom_bound - math.log(n) - lyap_bound)
+    return [_row("bounds", n, "bound-identity", gap, 0.0, TOLERANCES["bounds-identity"], gap),
+            *(_row("bounds", n, tolerance=TOLERANCES["bounds"], deviation=report.abs_deviation,
+                   **report.to_record()) for report in ergodic.bound_achievement(n, depth=200))]
 
 
-def _ulam_row(n: int, cells: int) -> dict:
-    """One grid check: the l1 error of the index's Ulam model on a grid of `cells` cells."""
-    model = ulam.build_model(n, cells)
-    return _row("ulam", n, f"density-l1[m={cells}]", model.l1_error, 0.0, TOLERANCES["ulam"],
-                model.l1_error, model.l1_error < TOLERANCES["ulam"], iterations=model.iterations)
+def _ulam_rows(n: int, args) -> list[dict]:
+    """The l1 error of the index's Ulam model on a grid of --cells cells."""
+    model = ulam.build_model(n, args.cells)
+    return [_row("ulam", n, f"density-l1[m={args.cells}]", model.l1_error, 0.0,
+                 TOLERANCES["ulam"], model.l1_error, iterations=model.iterations)]
+
+
+#: Each suite's rows at one index, in row order; a Monte Carlo suite names the
+#: observable requests it makes at index n (see ergodic.orbit_estimates).
+SUITES = {
+    "birkhoff": partial(_orbit_rows, lambda n: [("log-digit", None), ("digit-indicator", None)]),
+    "levy": partial(_orbit_rows, lambda n: [("denominator-growth", None)]),
+    "lyapunov": partial(_orbit_rows, lambda n: [("log-derivative", None)]),
+    "frequencies": partial(_orbit_rows, lambda n: [("digit-indicator", m)
+                                                   for m in range(n, n + 3)]),
+    "bounds": _bounds_rows,
+    "ulam": _ulam_rows,
+}
 
 
 def _cmd_verify(args) -> tuple[list[dict], int]:
-    ns = _parse_n_values(args.n)
-    if args.suite == "bounds":
-        rows = _suite_bounds(ns)
-    elif args.suite == "ulam":
-        rows = [_ulam_row(n, args.cells) for n in ns]
-    else:
-        rows = _suite_orbits(args.suite, ns, args)
+    rows = [row for n in _parse_n_values(args.n) for row in SUITES[args.suite](n, args)]
     return rows, 1 if any(not row["pass"] for row in rows) else 0
 
 
@@ -291,10 +284,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run a verification suite; exit 1 on failure")
     p_verify.add_argument("suite", choices=SUITES)
     p_verify.add_argument("--n", default="1", help='indices: "3", "1..5" or "1,2,5" (default 1)')
-    p_verify.add_argument("--trials", type=int, default=200)
-    p_verify.add_argument("--bits", type=int, default=512)
-    p_verify.add_argument("--max-terms", type=int, default=DEFAULT_MAX_TERMS)
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--trials", type=int, default=ergodic.SampleConfig.trials)
+    p_verify.add_argument("--bits", type=int, default=ergodic.SampleConfig.denominator_bits)
+    p_verify.add_argument("--max-terms", type=int, default=ergodic.SampleConfig.max_terms)
+    p_verify.add_argument("--seed", type=int, default=ergodic.SampleConfig.seed)
     p_verify.add_argument("--cells", type=int, default=512, help="grid size for the ulam suite")
     add_io_flags(p_verify)
     p_verify.set_defaults(func=_cmd_verify)

@@ -27,14 +27,14 @@ import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import constants
-from .dynamics import (Expansion, RationalLike, _as_unit_rational, _walk, check_index, expand,
-                       fixed_point)
+from .dynamics import (DEFAULT_MAX_TERMS, Expansion, RationalLike, _as_unit_rational, _walk,
+                       check_index, expand, fixed_point)
 
 __all__ = [
     "OBSERVABLES",
@@ -62,7 +62,7 @@ class SampleConfig:
     N: int
     trials: int = 200
     denominator_bits: int = 512
-    max_terms: int = 10_000
+    max_terms: int = DEFAULT_MAX_TERMS
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -73,6 +73,8 @@ class SampleConfig:
             raise ValueError(f"denominator_bits must be >= 64, got {self.denominator_bits}")
         if self.max_terms < 1:
             raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+        if isinstance(self.seed, bool) or operator.index(self.seed) < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass
@@ -82,6 +84,8 @@ class EstimateReport:
     ``per_trial_std`` is the sample standard deviation of the per-trial
     statistics (on the averaging scale of the estimator, e.g. log scale for
     the geometric mean); divide by sqrt(trials) for the standard error.
+    The deviations are derived from value and target once, on first read:
+    NaN unless both are finite, and the relative one also at a zero target.
     Non-finite values (divergent observables) are serialized as strings so
     no bare infinity leaks into machine-readable output.
     """
@@ -89,22 +93,20 @@ class EstimateReport:
     quantity: str
     value: float
     target: float
-    abs_deviation: float
-    rel_deviation: float
-    per_trial_std: float
-    trials: int
-    terms: int
+    per_trial_std: float = 0.0
+    trials: int = 1
+    terms: int = 0
     extras: dict = field(default_factory=dict)
 
-    @classmethod
-    def from_value(cls, quantity: str, value: float, target: float, *,
-                   per_trial_std: float = 0.0, trials: int = 1, terms: int = 0,
-                   extras: Optional[dict] = None) -> "EstimateReport":
-        finite = math.isfinite(value) and math.isfinite(target)
-        abs_dev = abs(value - target) if finite else math.nan
-        rel_dev = abs_dev / abs(target) if finite and target != 0 else math.nan
-        return cls(quantity, value, target, abs_dev, rel_dev, per_trial_std, trials, terms,
-                   dict(extras or {}))
+    @cached_property
+    def abs_deviation(self) -> float:
+        if math.isfinite(self.value) and math.isfinite(self.target):
+            return abs(self.value - self.target)
+        return math.nan
+
+    @cached_property
+    def rel_deviation(self) -> float:
+        return self.abs_deviation / abs(self.target) if self.target != 0 else math.nan
 
     def to_record(self) -> dict:
         def clean(v):
@@ -293,7 +295,7 @@ def _divergence_report(cfg: SampleConfig, quantity: str, r: float, orbits: list[
     marks = [n for n in (100, 300, 1000, 3000, 10000, 30000, 100000) if n <= terms]
     if not marks or marks[-1] != terms:
         marks.append(terms)
-    return EstimateReport.from_value(
+    return EstimateReport(
         quantity, math.inf, math.inf,
         trials=cfg.trials,
         terms=terms,
@@ -318,7 +320,7 @@ def _pooled(cfg: SampleConfig, quantity: str, target: float, stat: Callable,
         grand = float(means.mean())
         std = float(means.std(ddof=1)) if cfg.trials > 1 else 0.0
         value, extras = pool(grand, means)
-        return EstimateReport.from_value(
+        return EstimateReport(
             quantity, value, target,
             per_trial_std=std, trials=cfg.trials, terms=terms, extras=extras,
         )
@@ -454,11 +456,11 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
     log_b, b2, b1 = [0.0], 0, 1
     for _ in range(depth):
         b2, b1 = b1, N * (b1 + b2)
-        log_b.append(math.log(b1) if b1 > 1 else 0.0)
+        log_b.append(math.log(b1))
     cesaro_history = {
         n: abs(log_b[n] / n - denom_bound) for n in range(20, depth + 1, 20)
     }
-    denom_report = EstimateReport.from_value(
+    denom_report = EstimateReport(
         "denominator-growth[const-digit]",
         log_b[depth] - log_b[depth - 1],
         denom_bound,
@@ -479,7 +481,7 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
     if coeffs != [N] * depth:
         raise RuntimeError("fixed-point approximation ran out of precision")
     log_ratio = math.log(q) - math.log(z.denominator)
-    lyap_report = EstimateReport.from_value(
+    lyap_report = EstimateReport(
         "lyapunov[const-digit]",
         _lyapunov_rate(depth, log_ratio, N),
         lyap_bound,

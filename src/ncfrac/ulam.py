@@ -88,14 +88,6 @@ class UlamModel:
     l1_error: float
     iterations: int
 
-    def summary(self) -> dict:
-        return {
-            "N": self.N,
-            "m": self.m,
-            "l1_error": self.l1_error,
-            "iterations": self.iterations,
-        }
-
 
 def _psi_tail(a: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
     """sum_{k>=a} (1/(k+x0) - 1/(k+x0+h)) = psi(a+x0+h) - psi(a+x0).

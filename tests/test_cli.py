@@ -8,9 +8,10 @@ import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ncfrac import ConstantsReport, ergodic, holder_mean
+from ncfrac import ConstantsReport, ergodic, holder_mean, ulam
 from ncfrac.cli import main
 
 
@@ -117,6 +118,15 @@ class TestConstants:
         code, out, err = run_cli(capsys, *command.split(), "--n", n)
         assert (code, out) == (2, "")
         assert err == f"error: indices must be integers >= 1, got {n!r}\n"
+
+    @pytest.mark.parametrize("command", ["constants", "verify levy"])
+    @pytest.mark.parametrize("n, top", [("1" * 5000, "1" * 5000),
+                                        ("1.." + "7" * 5000, "7" * 5000)], ids=["index", "range"])
+    def test_index_past_the_int_digit_limit_names_the_float_range(self, capsys, command, n, top):
+        # int() reads no more than 4300 digits, so the message quotes the text
+        code, out, err = run_cli(capsys, *command.split(), "--n", n)
+        assert (code, out) == (2, "")
+        assert err == f"error: index {top} is beyond the float range\n"
 
     @pytest.mark.parametrize("r", ["abc", "1,,2", "0.5,x"])
     def test_bad_orders_name_the_flag(self, capsys, r):
@@ -292,6 +302,32 @@ class TestVerify:
         quantities = {row["quantity"] for row in rows}
         assert quantities == {"denominator-growth", "denominator-growth[floor]"}
 
+    def test_ulam_row_at_its_tolerance_passes(self, capsys, monkeypatch):
+        monkeypatch.setattr("ncfrac.ulam.build_model",
+                            lambda n, m: ulam.UlamModel(n, m, np.full(m, 1 / m), 0.01, 1))
+        code, out, _ = run_cli(capsys, "verify", "ulam", "--n", "1", "--cells", "16",
+                               "--format", "json")
+        (row,) = json.loads(out)["results"]
+        assert (code, row["deviation"], row["tolerance"], row["pass"]) == (0, 0.01, 0.01, True)
+
+    @pytest.mark.parametrize("rate, bound, passed", [
+        (0.0, 0.01, True),
+        (0.0, math.nextafter(0.01, 1.0), False),
+        # bound - rate rounds above 0.01, though rate >= bound - 0.01 holds
+        (0.25, 0.26, False),
+    ])
+    def test_floor_row_passes_within_its_tolerance(self, capsys, monkeypatch, rate, bound,
+                                                    passed):
+        report = ergodic.EstimateReport("denominator-growth", 1.0, 1.0, extras={
+            "min_rate": rate, "denominator_bound": bound})
+        monkeypatch.setattr("ncfrac.ergodic.orbit_estimates", lambda cfg, requests: [report])
+        code, out, _ = run_cli(capsys, "verify", "levy", "--format", "json")
+        growth, floor = json.loads(out)["results"]
+        assert growth["pass"] is True
+        assert (floor["quantity"], floor["deviation"]) == (
+            "denominator-growth[floor]", max(0.0, bound - rate))
+        assert (floor["pass"], code) == (passed, 0 if passed else 1)
+
     def test_negative_seed_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "verify", "levy", "--seed", "-1")
         assert code == 2 and out == ""
@@ -382,6 +418,18 @@ def test_verify_json_golden(capsys, command):
     code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
     assert code == VERIFY_GOLDEN[command]["exit"]
     assert json.loads(out) == VERIFY_GOLDEN[command]["output"]
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_GOLDEN))
+def test_verify_golden_rows_follow_the_pass_rule(command):
+    # a row passes exactly when its deviation is finite and within its tolerance,
+    # and the command exits 1 exactly when a row fails
+    golden = VERIFY_GOLDEN[command]
+    rows = golden["output"]["results"]
+    for row in rows:
+        deviation = row["deviation"]
+        assert row["pass"] == (math.isfinite(deviation) and deviation <= row["tolerance"]), row
+    assert golden["exit"] == (0 if all(row["pass"] for row in rows) else 1)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "plain"])

@@ -112,10 +112,15 @@ class TestSampling:
         assert all(math.gcd(p, q) == 1 for p, q in pairs)
 
     def test_negative_seed_or_trial_rejected(self):
+        # the config rejects a seed before any block is seeded, a bool too
+        for seed in (-1, True):
+            with pytest.raises(ValueError,
+                               match=f"^seed must be a non-negative integer, got {seed}$"):
+                SampleConfig(N=1, seed=seed)
+        with pytest.raises(TypeError):
+            SampleConfig(N=1, seed=1.0)
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            sample_rational(SampleConfig(N=1, seed=-1))
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            orbit_estimates(SampleConfig(N=1, trials=2, seed=-1), [("log-digit", None)])
+            ergodic._pcg_states(-1, range(2))
         with pytest.raises(ValueError, match="trial must be a non-negative integer"):
             sample_rational(CFG, -1)
 
@@ -233,6 +238,13 @@ class TestBirkhoffEstimates:
         report = birkhoff_estimate(CFG, "log-digit")
         assert report.abs_deviation == abs(report.value - report.target)
         assert report.rel_deviation == report.abs_deviation / report.target
+        # no deviation without a finite value and target, nor a relative one at a zero target
+        for value, target, deviations in ((math.inf, 2.0, (math.nan, math.nan)),
+                                          (2.0, -math.inf, (math.nan, math.nan)),
+                                          (-3.0, 0.0, (3.0, math.nan))):
+            report = ergodic.EstimateReport("q", value, target)
+            assert np.array_equal((report.abs_deviation, report.rel_deviation), deviations,
+                                  equal_nan=True)
 
     def test_reports_are_reproducible(self):
         a = birkhoff_estimate(CFG, "log-digit")

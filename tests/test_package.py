@@ -92,7 +92,7 @@ def _console_scripts() -> dict[str, str]:
 
 
 def test_console_script_runs(capsys):
-    # the two commands of the CI step "Installed console script", run in-process
+    # the three commands of the CI step "Installed console script", run in-process
     scripts = _console_scripts()
     assert scripts == {"ncfrac": "ncfrac.cli:main"}
     module, _, attr = scripts["ncfrac"].partition(":")
@@ -100,4 +100,6 @@ def test_console_script_runs(capsys):
     assert main(["constants", "--n", "1..3", "--format", "json"]) == 0
     assert [row["N"] for row in json.loads(capsys.readouterr().out)["results"]] == [1, 2, 3]
     assert main(["verify", "bounds", "--n", "1"]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert main(["verify", "ulam", "--n", "1", "--cells", "16"]) == 0
     assert "FAIL" not in capsys.readouterr().out

@@ -259,10 +259,6 @@ class TestDensityRecovery:
 
 
 class TestSerialization:
-    def test_summary_keys(self):
-        summary = build_model(1, 32).summary()
-        assert set(summary) == {"N", "m", "l1_error", "iterations"}
-
     def test_profile_columns(self):
         model = build_model(1, 32)
         profile = density_profile(model)
