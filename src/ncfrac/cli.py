@@ -53,23 +53,29 @@ def _parse_fraction(text: str) -> Fraction:
 
 
 def _parse_n_values(text: str) -> list[int]:
-    """Accept "3", "1..5" and "1,2,5"; the constants and verify suites need float(N)."""
+    """Accept "3", "1..5" and "1,2,5"; the constants and verify suites need float(N).
+
+    Each index is read and named as int() reads and writes it, at any length:
+    int()'s limit of 4300 digits (from Python 3.10.7 on) is lifted meanwhile,
+    so the message depends on the index's value, not on how many digits spell it."""
     message = f"indices must be integers >= 1, got {text!r}"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     out: list[int] = []
-    for chunk in text.split(","):
-        lo, dots, hi = chunk.strip().partition("..")
-        top = (hi if dots else lo).strip()
-        try:
-            values = range(int(lo), int(top) + 1)
-        except ValueError:
-            # int() reads no more than 4300 digits and str() writes no more,
-            # so a longer index is named by its text
-            if lo.strip().isdecimal() and top.isdecimal() and float(top) > sys.float_info.max:
-                raise ValueError(f"index {top} is beyond the float range") from None
-            raise ValueError(message) from None
-        if values and values[-1] > sys.float_info.max:
-            raise ValueError(f"index {values[-1]} is beyond the float range")
-        out.extend(values)
+    try:
+        for chunk in text.split(","):
+            lo, dots, hi = chunk.strip().partition("..")
+            try:
+                values = range(int(lo), int(hi if dots else lo) + 1)
+            except ValueError:
+                raise ValueError(message) from None
+            if values and values[-1] > sys.float_info.max:
+                raise ValueError(f"index {values[-1]} is beyond the float range")
+            out.extend(values)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     if not out or any(n < 1 for n in out):
         raise ValueError(message)
     return out

@@ -299,8 +299,13 @@ def holder_mean(N: int, r: float) -> float:
     divergence is signalled by returning math.inf explicitly.  r = 0 is the
     geometric mean, :func:`khinchin`; 0 < |r| < 1e-6 raises ValueError.  The
     series of the r-th power is cut below its rounding (module docstring).
+    Only the requested mean is summed, so no other constant's overflow near
+    the top of the float range can end the call.
     """
-    return ConstantsReport.compute(N, (r,)).holder_means[0][1]
+    N = check_index(N)
+    if r >= 1:
+        return math.inf
+    return khinchin(N) if r == 0 else _holder_series([N], r)[N][0]
 
 
 def dilog_theta(x: float) -> float:

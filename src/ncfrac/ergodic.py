@@ -333,9 +333,12 @@ def _resolve(cfg: SampleConfig, observable: str, param) -> tuple[Callable, Calla
 
     Each branch checks its request and works out its label and target (M = N
     by default) before any sampling, so a target function rejects what it
-    cannot evaluate without drawing a sample.
+    cannot evaluate without drawing a sample, and a parameter given to an
+    observable that takes none raises ValueError.
     """
     N = cfg.N
+    if param is not None and observable in ("log-digit", "log-derivative", "denominator-growth"):
+        raise ValueError(f"{observable} takes no parameter, got {param!r}")
     if observable == "log-digit":
         quantity = "geometric-mean"
         return _pooled(cfg, quantity, constants.khinchin(N),
@@ -347,7 +350,7 @@ def _resolve(cfg: SampleConfig, observable: str, param) -> tuple[Callable, Calla
             raise ValueError("digit-power needs the exponent r")
         if param == 0:
             raise ValueError("order 0 is the geometric mean; use the log-digit observable")
-        target = math.inf if param >= 1 else constants.holder_mean(N, param)
+        target = constants.holder_mean(N, param)
         label = constants._order_label(param)
         quantity = f"digit-power[r={label}]"
         if param >= 1:  # diverges: a diagnostic over the trials' digits, with no series behind it
@@ -416,9 +419,13 @@ def birkhoff_estimate(
     """Orbit average of one observable against its closed-form space average.
 
     observable is one of OBSERVABLES (see :func:`orbit_estimates`); r is the
-    exponent of "digit-power" and M the digit of "digit-indicator".
+    exponent of "digit-power" and M the digit of "digit-indicator"; either
+    given to another observable raises ValueError before any sample is drawn.
     """
-    return orbit_estimates(cfg, [(observable, r if observable == "digit-power" else M)])[0]
+    param, stray, name = (r, M, "M") if observable == "digit-power" else (M, r, "r")
+    if stray is not None:
+        raise ValueError(f"{observable} takes no {name}, got {name} = {stray!r}")
+    return orbit_estimates(cfg, [(observable, param)])[0]
 
 
 def lyapunov_estimate(cfg: SampleConfig) -> EstimateReport:

@@ -19,9 +19,8 @@ only over its own columns, (N/t_{i+1} - k)m to (N/t_i - k)m, widened by
 the clip is exactly 0.  The branches strictly between lie inside the cell,
 and their sum over k telescopes to a difference of digamma steps
 psi(a + c + 1/m) - psi(a + c), evaluated without cancellation by
-:func:`_psi_tail`, four rows to a call.  Where a cell's right edge a + c + 1/m
-is bit for bit its neighbour's left edge, as for a power-of-two m while
-a + j/m is exact, each power of the series is taken once per edge, not twice.
+:func:`_psi_tail`, four rows to a call, which takes each power of the
+series once per cell edge.
 
 Only the nonzero structure is built and iterated.  A row with such an interior
 run of branches is nonzero in every column; any other row is nonzero only in
@@ -89,22 +88,23 @@ class UlamModel:
     iterations: int
 
 
-def _psi_tail(a: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
-    """sum_{k>=a} (1/(k+x0) - 1/(k+x0+h)) = psi(a+x0+h) - psi(a+x0).
+def _psi_tail(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """sum_{k>=a} (1/(k+c_j) - 1/(k+c_{j+1})) = psi(a+c_{j+1}) - psi(a+c_j).
 
-    ``a`` is a column of integer values, ``x0`` a row of offsets in [0, 1).  Terms
+    ``a`` is a column of integer values, ``c`` the row of the m + 1 cell edges
+    j/m, and h = c[1] the cell width; there is one value per cell j.  Terms
     below _PSI_SERIES_FROM are added explicitly; from there the asymptotic
     series is differenced term by term, so no two digamma values cancel.
+    Each power is taken once per edge and neighbours are differenced.
 
     Term p is about 2p |c_p| x^-2p h/x and the sum about h/x, so the series
     ends at its first term with 4p |c_p| x^-2p < 2**-56 at the smallest x:
     that term and every later one is below 2**-57 of the sum, under a quarter
-    ulp, and cannot change a bit of it.  When every cell's right edge x + h is
-    bit for bit the next cell's left edge, each power is taken once over the
-    edges and neighbours are differenced.
+    ulp, and cannot change a bit of it.
     """
-    x = np.maximum(a, _PSI_SERIES_FROM) + x0
-    y = x + h
+    h = c[1]
+    edges = np.maximum(a, _PSI_SERIES_FROM) + c
+    x, y = edges[..., :-1], edges[..., 1:]
     # x*y overflows for N*m above about 1.3e154, where the term is below 1e-300
     # and h/inf = 0 is right to double precision
     with np.errstate(over="ignore"):
@@ -112,20 +112,14 @@ def _psi_tail(a: np.ndarray, x0: np.ndarray, h: float) -> np.ndarray:
     # the cut drops p = 4 from a = 92, 3 from 389, 2 from 8326 and 1 from
     # 1.55e8, so no power is taken where it would underflow to a slow subnormal
     x_min = max(float(a.min()), _PSI_SERIES_FROM)
-    edges = None
-    if np.array_equal(y[..., :-1], x[..., 1:]):
-        edges = np.concatenate([x, y[..., -1:]], axis=-1)
     for power, coeff in enumerate(_PSI_SERIES, start=1):
         if 4 * power * abs(coeff) * x_min ** (-2 * power) < 2.0**-56:
             break
-        if edges is None:
-            total -= coeff * (y ** (-2 * power) - x ** (-2 * power))
-        else:
-            z = edges ** (-2 * power)
-            total -= coeff * (z[..., 1:] - z[..., :-1])
+        z = edges ** (-2 * power)
+        total -= coeff * (z[..., 1:] - z[..., :-1])
     for k in range(int(a.min()), _PSI_SERIES_FROM):
-        z = k + x0
-        total += np.where(k >= a, h / (z * (z + h)), 0.0)
+        z = k + c
+        total += np.where(k >= a, h / (z[:-1] * z[1:]), 0.0)
     return total
 
 
@@ -211,7 +205,7 @@ def _compact_masses(N: int, m: int) -> tuple[np.ndarray, ...]:
     run_rows = np.flatnonzero(run[:H])
     for s in range(0, len(run_rows), 4):
         i = run_rows[s : s + 4]
-        tails = _psi_tail(np.stack([K[i + 1] + 1, K[i]], axis=1).reshape(-1, 1), c[:-1], 1.0 / m)
+        tails = _psi_tail(np.stack([K[i + 1] + 1, K[i]], axis=1).reshape(-1, 1), c)
         head[i] += N * (tails[0::2] - tails[1::2])
     return head, rows, lengths, cols, vals
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -113,7 +114,9 @@ class TestConstants:
         assert code == 2
 
     @pytest.mark.parametrize("command", ["constants", "verify levy"])
-    @pytest.mark.parametrize("n", ["0", "2..1", "1.5", "abc", "1..", "1,,2", "1..3,x"])
+    @pytest.mark.parametrize("n", ["0", "2..1", "1.5", "abc", "1..", "1,,2", "1..3,x",
+                                   pytest.param("2" * 5000 + ".." + "1" * 5000,
+                                                id="long-empty-range")])
     def test_bad_indices_name_the_flag(self, capsys, command, n):
         code, out, err = run_cli(capsys, *command.split(), "--n", n)
         assert (code, out) == (2, "")
@@ -121,12 +124,21 @@ class TestConstants:
 
     @pytest.mark.parametrize("command", ["constants", "verify levy"])
     @pytest.mark.parametrize("n, top", [("1" * 5000, "1" * 5000),
-                                        ("1.." + "7" * 5000, "7" * 5000)], ids=["index", "range"])
+                                        ("1.." + "7" * 5000, "7" * 5000),
+                                        ("+1.." + "7" * 5000, "7" * 5000)],
+                             ids=["index", "range", "signed-range"])
     def test_index_past_the_int_digit_limit_names_the_float_range(self, capsys, command, n, top):
-        # int() reads no more than 4300 digits, so the message quotes the text
+        # past int()'s default limit of 4300 digits the message still names the value
         code, out, err = run_cli(capsys, *command.split(), "--n", n)
         assert (code, out) == (2, "")
         assert err == f"error: index {top} is beyond the float range\n"
+
+    @pytest.mark.parametrize("command", ["constants", "verify bounds"])
+    def test_index_past_the_int_digit_limit_reads_its_value(self, capsys, command):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        assert run_cli(capsys, *command.split(), "--n", "0" * 5000 + "5") == run_cli(
+            capsys, *command.split(), "--n", "5")
+        assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit  # restored
 
     @pytest.mark.parametrize("r", ["abc", "1,,2", "0.5,x"])
     def test_bad_orders_name_the_flag(self, capsys, r):
@@ -403,9 +415,10 @@ DATA = Path(__file__).parent / "data"
 # of observable requests, and the ulam entry once the stationary solve ran on
 # the compact operator, which moved its two L1 errors in the last digits; the
 # 2048-cell and 100-cell ulam entries were added before the psi tails shared
-# their edge powers and cut their series per term, and hold every L1 error and
-# iteration count of both the shared-power path and its fallback bit for bit;
-# the truncated levy entry (every other orbit there terminates, so it alone
+# their edge powers and cut their series per term; the 100-cell entry was
+# captured again once every grid took the series at its own cell edges, which
+# moved its three L1 errors in the last digits and no iteration count; the
+# truncated levy entry (every other orbit there terminates, so it alone
 # runs the rho recursion) was added before each observable got one resolver
 VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())
 # exact CSV and plain text of a suite with floor rows and of the bounds suite,

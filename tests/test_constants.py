@@ -193,9 +193,12 @@ class TestHolderMean:
             assert holder_mean(N, r) == pytest.approx(expected, rel=1e-12)
 
     def test_divergent_orders_signal_infinity(self):
-        for N in (1, 2, 5):
+        for N in (1, 2, 5, 2**1024 - 2**971):
             for r in (1.0, 1.5, 2.0):
                 assert math.isinf(holder_mean(N, r))
+        # there khinchin, about e N, overflows, but a divergent mean does not need it
+        with pytest.raises(OverflowError, match="khinchin"):
+            holder_mean(2**1024 - 2**971, 0.0)
 
     def test_non_finite_orders_below_one_rejected(self):
         for r in (math.nan, -math.inf):

@@ -206,8 +206,13 @@ class TestBirkhoffEstimates:
         (2**1024 - 2**971, ("log-digit", None), OverflowError, "khinchin .* float range"),
         (3, ("digit-indicator", 2), ValueError, "inadmissible digit 2 < N = 3$"),
         (3, ("digit-indicator", 2.5), ValueError, "digits must be integers, got 2.5"),
+        (1, ("log-digit", 7), ValueError, "^log-digit takes no parameter, got 7$"),
+        (1, ("log-derivative", 3), ValueError, "^log-derivative takes no parameter, got 3$"),
+        (1, ("denominator-growth", 0.5), ValueError,
+         r"^denominator-growth takes no parameter, got 0\.5$"),
     ], ids=["power-order-underflows", "khinchin-overflows", "digit-below-index",
-            "fractional-digit"])
+            "fractional-digit", "log-digit-parameter", "log-derivative-parameter",
+            "denominator-growth-parameter"])
     def test_unreachable_target_rejected_before_sampling(self, monkeypatch, N, request_,
                                                          error, message):
         calls = []
@@ -215,6 +220,21 @@ class TestBirkhoffEstimates:
                             lambda cfg, trials: calls.append(trials))
         with pytest.raises(error, match=message):
             orbit_estimates(SampleConfig(N=N), [("log-derivative", None), request_])
+        assert calls == []
+
+    @pytest.mark.parametrize("observable, params, message", [
+        ("digit-indicator", {"r": 0.5}, r"^digit-indicator takes no r, got r = 0\.5$"),
+        ("log-digit", {"r": -1.0}, r"^log-digit takes no r, got r = -1\.0$"),
+        ("digit-power", {"r": -1.0, "M": 2}, "^digit-power takes no M, got M = 2$"),
+        ("log-digit", {"M": 7}, "^log-digit takes no parameter, got 7$"),
+    ], ids=["r-to-digit-indicator", "r-to-log-digit", "M-to-digit-power", "M-to-log-digit"])
+    def test_stray_parameter_rejected_before_sampling(self, monkeypatch, observable, params,
+                                                      message):
+        calls = []
+        monkeypatch.setattr("ncfrac.ergodic._sample_pairs",
+                            lambda cfg, trials: calls.append(trials))
+        with pytest.raises(ValueError, match=message):
+            birkhoff_estimate(SampleConfig(N=1), observable, **params)
         assert calls == []
 
     def test_infinite_power_order_still_divergent(self, monkeypatch):

@@ -92,7 +92,7 @@ def _console_scripts() -> dict[str, str]:
 
 
 def test_console_script_runs(capsys):
-    # the three commands of the CI step "Installed console script", run in-process
+    # the four commands of the CI step "Installed console script", run in-process
     scripts = _console_scripts()
     assert scripts == {"ncfrac": "ncfrac.cli:main"}
     module, _, attr = scripts["ncfrac"].partition(":")
@@ -103,3 +103,5 @@ def test_console_script_runs(capsys):
     assert "FAIL" not in capsys.readouterr().out
     assert main(["verify", "ulam", "--n", "1", "--cells", "16"]) == 0
     assert "FAIL" not in capsys.readouterr().out
+    assert main(["expand", "2/3", "--n", "1"]) == 0
+    assert "digits: 1 2" in capsys.readouterr().out.splitlines()

@@ -66,9 +66,8 @@ def _blocked_cell_masses(N, m, block=6):
         P[rows] = clipped(K[rows + 1, None], rows)
     for rows in blocks(np.flatnonzero(K[:-1] > K[1:])):
         P[rows] += clipped(K[rows, None], rows)
-    x0, h = c[:-1], 1.0 / m
     for rows in blocks(np.flatnonzero(K[:-1] - K[1:] >= 2)):
-        P[rows] += N * (_psi_tail(K[rows + 1, None] + 1, x0, h) - _psi_tail(K[rows, None], x0, h))
+        P[rows] += N * (_psi_tail(K[rows + 1, None] + 1, c) - _psi_tail(K[rows, None], c))
     P *= m
     return P
 
@@ -85,18 +84,20 @@ _ORACLE_CASES = [
 ]
 
 
-def _psi_tail_full_series(a, x0, h):
-    """_psi_tail as it was before it skipped the series from a*h >= 2**56 on,
-    kept as the reference that the skip changes no bit."""
-    x = np.maximum(a, 32) + x0
-    y = x + h
+def _psi_tail_full_series(a, c):
+    """_psi_tail without its per-term cut of the series, every power taken at
+    every cell edge, kept as the reference that the cut changes no bit."""
+    h = c[1]
+    edges = np.maximum(a, 32) + c
+    x, y = edges[..., :-1], edges[..., 1:]
     with np.errstate(over="ignore"):
         total = np.log1p(h / x) + h / (2 * x * y)
     for power, coeff in enumerate((1 / 12, -1 / 120, 1 / 252, -1 / 240), start=1):
-        total -= coeff * (y ** (-2 * power) - x ** (-2 * power))
+        z = edges ** (-2 * power)
+        total -= coeff * (z[..., 1:] - z[..., :-1])
     for k in range(int(a.min()), 32):
-        z = k + x0
-        total += np.where(k >= a, h / (z * (z + h)), 0.0)
+        z = k + c
+        total += np.where(k >= a, h / (z[:-1] * z[1:]), 0.0)
     return total
 
 
@@ -157,23 +158,23 @@ class TestMatrixAssembly:
         P = transition_matrix(N, m)
         assert np.abs(P - _branch_reference(N, m))[1:].max() < 1e-13
 
-    @pytest.mark.parametrize("N, m", [(1, 64), (2, 64), (7, 32), (40, 16)])
+    @pytest.mark.parametrize("N, m", [(1, 64), (2, 64), (7, 32), (40, 16),
+                                      (3, 17), (7, 48), (2, 100)])
     def test_matches_mpmath_operator(self, N, m):
         exact = _mpmath_matrix(N, m)
         assert np.abs(transition_matrix(N, m) - exact).max() < 1e-13
 
     @pytest.mark.parametrize("m", [16, 17, 100, 512, 2048])
     def test_psi_series_skip_changes_no_bit(self, m):
-        # 16, 512 and 2048 share the edge powers while a + j/m is exact; 17 and
-        # 100 take two powers per cell
-        x0, h = np.arange(m + 1)[:-1] / m, 1.0 / m
+        # every grid takes each power at its own cell edges, powers of two or not
+        c = np.arange(m + 1) / m
         top = float(_FLOAT_MAX // m)
         start = 2.0**56 * m  # the first a whose series was skipped before the per-term cut
         cuts = (92.0, 389.0, 8326.0, 154981283.0)  # the first a without term p = 4, 3, 2, 1
         for a in (*np.floor(np.geomspace(32.0, top, 160)), np.nextafter(start, 0), start, top,
                   *cuts, *(cut - 1 for cut in cuts)):
             column = np.array([[a], [a + 1]])
-            assert np.array_equal(_psi_tail(column, x0, h), _psi_tail_full_series(column, x0, h))
+            assert np.array_equal(_psi_tail(column, c), _psi_tail_full_series(column, c))
         # the real run rows' columns [K_{i+1} + 1, K_i], four rows to a call as
         # in _compact_masses, with K_0 = inf
         for N in (1, 2, 5, 10, 100, 10**6):
@@ -182,8 +183,8 @@ class TestMatrixAssembly:
             for s in range(0, len(run), 4):
                 i = run[s : s + 4]
                 column = np.stack([K[i + 1] + 1, K[i]], axis=1).reshape(-1, 1)
-                assert np.array_equal(_psi_tail(column, x0, h),
-                                      _psi_tail_full_series(column, x0, h)), (N, i)
+                assert np.array_equal(_psi_tail(column, c),
+                                      _psi_tail_full_series(column, c)), (N, i)
 
     def test_grid_size_limits(self):
         with pytest.raises(ValueError):
