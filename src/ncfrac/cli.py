@@ -19,8 +19,9 @@ import json
 import math
 import sys
 from fractions import Fraction
-from functools import partial
-from typing import Callable, Optional
+from functools import lru_cache, partial
+from itertools import repeat
+from typing import Callable, Iterator, Optional
 
 from . import __version__, constants, ergodic, ulam
 from .convergents import convergent_sequence
@@ -52,17 +53,23 @@ def _parse_fraction(text: str) -> Fraction:
     return Fraction(p, q)
 
 
+#: The most indices one --n may name; checked on the ranges, before any list is built.
+MAX_INDICES = 100_000
+
+
 def _parse_n_values(text: str) -> list[int]:
     """Accept "3", "1..5" and "1,2,5"; the constants and verify suites need float(N).
 
     Each index is read and named as int() reads and writes it, at any length:
     int()'s limit of 4300 digits (from Python 3.10.7 on) is lifted meanwhile,
-    so the message depends on the index's value, not on how many digits spell it."""
+    so the message depends on the index's value, not on how many digits spell it.
+    The ranges stay ranges until their total length is known to be at most
+    MAX_INDICES."""
     message = f"indices must be integers >= 1, got {text!r}"
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if limit:
         sys.set_int_max_str_digits(0)
-    out: list[int] = []
+    ranges: list[range] = []
     try:
         for chunk in text.split(","):
             lo, dots, hi = chunk.strip().partition("..")
@@ -72,13 +79,17 @@ def _parse_n_values(text: str) -> list[int]:
                 raise ValueError(message) from None
             if values and values[-1] > sys.float_info.max:
                 raise ValueError(f"index {values[-1]} is beyond the float range")
-            out.extend(values)
+            ranges.append(values)
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    if not out or any(n < 1 for n in out):
+    # len() of a range longer than sys.maxsize overflows; its ends do not
+    count = sum(max(0, values.stop - values.start) for values in ranges)
+    if not count or any(values and values[0] < 1 for values in ranges):
         raise ValueError(message)
-    return out
+    if count > MAX_INDICES:
+        raise ValueError(f"--n names {count} indices, more than the {MAX_INDICES} allowed")
+    return [n for values in ranges for n in values]
 
 
 def _fraction_log10(value: Fraction) -> Optional[float]:
@@ -261,6 +272,64 @@ def _render_plain(command: str, results: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The types json writes as arrays or objects.
+_CONTAINERS = (dict, list, tuple)
+
+
+@lru_cache(maxsize=None)
+def _flat_encoder(level: int) -> Callable[[object], str]:
+    """json's C encoder for a container at indent level `level`, one item a line.
+
+    Its item separator carries the newline and the indent of the items, so a
+    container that holds no container comes out as json.dumps(indent=2)
+    writes it, but for the newline and indent after its opening bracket and
+    before its closing one.  An encoded string never holds a raw newline.
+    """
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (level + 1), ": ")).encode
+
+
+def _json_chunks(value, level: int) -> Iterator[str]:
+    """`value` as json.dumps(sort_keys=True, indent=2) writes it at indent level `level`.
+
+    A container that holds no container is one call of json's C encoder.  One
+    that does is encoded in one call too, each container item standing in as
+    a 0, and only its container items are walked here.  C sorts its copy's
+    items as sorted() sorts the original's: the keys alone decide the order.
+    """
+    encode = _flat_encoder(level)
+    if not isinstance(value, _CONTAINERS):
+        yield encode(value)
+        return
+    is_dict = isinstance(value, dict)
+    outer = "\n" + "  " * level
+    if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
+        text = encode(value)
+        yield text if len(text) == 2 else f"{text[0]}{outer}  {text[1:-1]}{outer}{text[-1]}"
+        return
+    if is_dict:
+        items = [item for _, item in sorted(value.items())]
+        text = encode({key: 0 if isinstance(item, _CONTAINERS) else item
+                       for key, item in value.items()})
+    else:
+        items = value
+        text = encode([0 if isinstance(item, _CONTAINERS) else item for item in value])
+    separator = ",\n" + "  " * (level + 1)
+    lead = text[0] + separator[1:]
+    for item, entry in zip(items, text[1:-1].split(separator)):
+        if isinstance(item, _CONTAINERS):
+            yield lead + entry[:-1]
+            yield from _json_chunks(item, level + 1)
+        else:
+            yield lead + entry
+        lead = separator
+    yield outer + text[-1]
+
+
+def _render_json(doc) -> str:
+    """Exactly `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, joined once from chunks."""
+    return "".join([*_json_chunks(doc, 0), "\n"])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncfrac",
@@ -311,8 +380,7 @@ def main(argv=None) -> int:
     if args.format == "json":
         config = {key: value for key, value in vars(args).items()
                   if key not in ("command", "func", "output")}
-        text = json.dumps({"command": args.command, "config": config, "results": results},
-                          sort_keys=True, indent=2) + "\n"
+        text = _render_json({"command": args.command, "config": config, "results": results})
     elif args.format == "csv":
         text = _render_csv(args.command, results)
     else:

@@ -459,11 +459,13 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
         raise ValueError(f"depth must be >= 10, got {depth}")
     lyap_bound, denom_bound = constants.lower_bounds(N)
 
-    # B_n = N * (B_{n-1} + B_{n-2}) from B_{-1} = 0, B_0 = 1
-    log_b, b2, b1 = [0.0], 0, 1
-    for _ in range(depth):
+    # B_n = N * (B_{n-1} + B_{n-2}) from B_{-1} = 0, B_0 = 1; log B_n only where read
+    logged = {*range(20, depth + 1, 20), depth - 1, depth}
+    log_b, b2, b1 = {}, 0, 1
+    for n in range(1, depth + 1):
         b2, b1 = b1, N * (b1 + b2)
-        log_b.append(math.log(b1))
+        if n in logged:
+            log_b[n] = math.log(b1)
     cesaro_history = {
         n: abs(log_b[n] / n - denom_bound) for n in range(20, depth + 1, 20)
     }

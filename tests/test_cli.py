@@ -7,13 +7,17 @@ import json
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncfrac import ConstantsReport, ergodic, holder_mean, ulam
-from ncfrac.cli import main
+from ncfrac import cli
+from ncfrac.cli import MAX_INDICES, _render_json, main
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +116,28 @@ class TestConstants:
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "constants", "--n", "0..2")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["constants", "verify levy"])
+    @pytest.mark.parametrize("n, count", [("1..100000000", 10**8),
+                                          ("1.." + "9" * 308, 10**308 - 1)],
+                             ids=["1e8", "308-digits"])
+    def test_too_many_indices_name_the_flag_and_count(self, capsys, command, n, count):
+        # refused from the ranges' ends, before a list of indices is built
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *command.split(), "--n", n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == f"error: --n names {count} indices, more than the {MAX_INDICES} allowed\n"
+        assert peak < 1 << 20
+
+    def test_index_limit_counts_every_chunk(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "MAX_INDICES", 3)
+        assert run_cli(capsys, "constants", "--n", "1..2,5")[0] == 0
+        assert run_cli(capsys, "constants", "--n", "1..2,2..1,1..2") == (
+            2, "", "error: --n names 4 indices, more than the 3 allowed\n")
 
     @pytest.mark.parametrize("command", ["constants", "verify levy"])
     @pytest.mark.parametrize("n", ["0", "2..1", "1.5", "abc", "1..", "1,,2", "1..3,x",
@@ -407,7 +433,35 @@ def test_json_output_is_strict(capsys, argv):
     json.loads(out, parse_constant=_reject_constant)
 
 
+_json_text = st.text(st.characters() | st.sampled_from("\n\r\t\x00\x1f\x7f\u2028é€😀"),
+                     max_size=6)
+_json_scalars = (st.none() | st.booleans() | st.floats() | st.floats().map(np.float64)
+                 | st.integers(min_value=-2**200, max_value=2**200) | _json_text)
+_json_trees = st.recursive(_json_scalars, lambda children: (
+    st.lists(children, max_size=4) | st.dictionaries(_json_text, children, max_size=4)
+    | st.dictionaries(st.integers(min_value=-2**70, max_value=2**70), children, max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_json_trees)
+@example([0])
+@example({"": {}, "a": [[], [1]], "b": None})
+@example({-1: ["\n"], 10: {3: True}, 9: 0.5})
+def test_render_json_matches_the_stdlib_encoder(tree):
+    # nan and +-inf, numpy floats, big ints, control and non-ASCII characters,
+    # empty and nested containers: byte for byte what json.dumps writes
+    assert _render_json(tree) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
+
+
 DATA = Path(__file__).parent / "data"
+
+
+def _int_keys(pairs) -> dict:
+    # JSON spells the bounds rows' int depth keys as strings; read back as ints,
+    # they sort as they did in the document the CLI encoded
+    return {int(key) if key.isdecimal() else key: value for key, value in pairs}
+
 
 # verify output at 96 bits (an odd number of 32-bit words per draw) and 512 bits,
 # captured before the sampler read PCG64's raw words instead of Generator.bytes;
@@ -420,7 +474,8 @@ DATA = Path(__file__).parent / "data"
 # moved its three L1 errors in the last digits and no iteration count; the
 # truncated levy entry (every other orbit there terminates, so it alone
 # runs the rho recursion) was added before each observable got one resolver
-VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text())
+VERIFY_GOLDEN = json.loads((DATA / "verify_golden.json").read_text(),
+                           object_pairs_hook=_int_keys)
 # exact CSV and plain text of a suite with floor rows and of the bounds suite,
 # captured at the same point as the bounds and ulam JSON
 VERIFY_TEXT_GOLDEN = json.loads((DATA / "verify_text_golden.json").read_text())
@@ -430,7 +485,9 @@ VERIFY_TEXT_GOLDEN = json.loads((DATA / "verify_text_golden.json").read_text())
 def test_verify_json_golden(capsys, command):
     code, out, _ = run_cli(capsys, *command.split(), "--format", "json")
     assert code == VERIFY_GOLDEN[command]["exit"]
-    assert json.loads(out) == VERIFY_GOLDEN[command]["output"]
+    assert json.loads(out, object_pairs_hook=_int_keys) == VERIFY_GOLDEN[command]["output"]
+    # the bytes too: the stdlib's own indent=2 encoder is the reference
+    assert out == json.dumps(VERIFY_GOLDEN[command]["output"], sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("command", sorted(VERIFY_GOLDEN))

@@ -91,17 +91,24 @@ def _console_scripts() -> dict[str, str]:
     return dict(re.findall(r'^([\w.-]+)\s*=\s*"([^"]+)"', section[1], re.M))
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"bare {token} is not JSON")
+
+
 def test_console_script_runs(capsys):
-    # the four commands of the CI step "Installed console script", run in-process
+    # the four commands of the CI step "Installed console script", run in-process;
+    # the step loads the bounds and expand documents as strict JSON
     scripts = _console_scripts()
     assert scripts == {"ncfrac": "ncfrac.cli:main"}
     module, _, attr = scripts["ncfrac"].partition(":")
     main = getattr(importlib.import_module(module), attr)
     assert main(["constants", "--n", "1..3", "--format", "json"]) == 0
     assert [row["N"] for row in json.loads(capsys.readouterr().out)["results"]] == [1, 2, 3]
-    assert main(["verify", "bounds", "--n", "1"]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+    assert main(["verify", "bounds", "--n", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
+    assert all(row["pass"] for row in rows)
     assert main(["verify", "ulam", "--n", "1", "--cells", "16"]) == 0
     assert "FAIL" not in capsys.readouterr().out
-    assert main(["expand", "2/3", "--n", "1"]) == 0
-    assert "digits: 1 2" in capsys.readouterr().out.splitlines()
+    assert main(["expand", "2/3", "--n", "1", "--format", "json"]) == 0
+    (result,) = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
+    assert result["coeffs"] == [1, 2]
