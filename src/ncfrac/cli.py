@@ -83,10 +83,10 @@ def _parse_n_values(text: str) -> list[int]:
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
-    # len() of a range longer than sys.maxsize overflows; its ends do not
-    count = sum(max(0, values.stop - values.start) for values in ranges)
-    if not count or any(values and values[0] < 1 for values in ranges):
+    if any(not values or values[0] < 1 for values in ranges):
         raise ValueError(message)
+    # len() of a range longer than sys.maxsize overflows; its ends do not
+    count = sum(values.stop - values.start for values in ranges)
     if count > MAX_INDICES:
         raise ValueError(f"--n names {count} indices, more than the {MAX_INDICES} allowed")
     return [n for values in ranges for n in values]

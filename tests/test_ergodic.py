@@ -70,10 +70,9 @@ class TestSampling:
 
     @pytest.mark.parametrize("bits", [64, 72, 96, 100, 512, 513, 4096])
     def test_raw_stream_matches_generator_bytes(self, bits):
-        # the draws Generator.bytes makes, on the same per-trial bit generator
+        # the draws Generator.bytes makes on trial t's stream, PCG64(seed).jumped(t)
         def reference(cfg, trial):
-            seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(trial,))
-            rng = np.random.Generator(np.random.PCG64(seq))
+            rng = np.random.Generator(np.random.PCG64(cfg.seed).jumped(trial))
             nbytes = (bits + 7) // 8
             q = 1 << (bits - 1) | int.from_bytes(rng.bytes(nbytes), "big") & ((1 << (bits - 1)) - 1)
             while True:
@@ -81,47 +80,34 @@ class TestSampling:
                 if 1 <= p < q:
                     return p, q
 
-        # seeds of five and seven 32-bit words add entropy beyond the pool of four
+        # seeds of up to seven 32-bit words; trials of up to three, whose
+        # jumps wrap far past 2**128
         for seed in (0, 1, 11, 900, 2**40 + 3, 2**128 + 5, 2**200 + 1):
             cfg = SampleConfig(N=1, denominator_bits=bits, seed=seed)
-            for trial in range(31):
+            for trial in (*range(31), 2**32, 2**70):
                 p, q = reference(cfg, trial)
                 assert sample_rational(cfg, trial) == Fraction(p, q), (seed, trial)
 
-    # seeds of three, four and five 32-bit words sit on either side of the pool of four
-    @pytest.mark.parametrize("seed", [0, 900, 2**32, 2**70, 2**96 - 1, 2**127, 2**128,
-                                      2**128 + 5, 2**200 + 1])
-    def test_batch_states_match_seed_sequence(self, seed):
-        def reference(t):
-            state = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(t,))).state
-            return state["state"]["state"], state["state"]["inc"]
-
-        # trial indices of one, two and three 32-bit words
-        for t in (0, 1, 2**32 - 1, 2**32 + 1, 2**70):
-            assert ergodic._pcg_states(seed, range(t, t + 1)) == [reference(t)], t
-        # blocks whose trials take different numbers of key words
-        for trials in (range(40), range(2**32 - 3, 2**32 + 3), range(2**64 - 2, 2**64 + 2)):
-            assert ergodic._pcg_states(seed, trials) == [reference(t) for t in trials], trials
-
-    def test_block_across_a_key_word_boundary(self):
-        # trials 2**32 - 2 .. 2**32 + 1 take one key word, then two
-        cfg = SampleConfig(N=1, denominator_bits=96, seed=7)
-        trials = range(2**32 - 2, 2**32 + 2)
-        pairs = list(ergodic._sample_pairs(cfg, trials))
-        assert [Fraction(p, q) for p, q in pairs] == [sample_rational(cfg, t) for t in trials]
-        assert all(math.gcd(p, q) == 1 for p, q in pairs)
+    def test_consecutive_trials_match_one_trial_calls(self):
+        # each trial reads its own number of words before the jump to the next
+        # trial's start: three per draw pair at 96 bits, seventeen at 513 bits
+        for bits in (96, 513):
+            cfg = SampleConfig(N=1, denominator_bits=bits, seed=7)
+            for trials in (range(12), range(2**64 - 2, 2**64 + 10)):
+                pairs = list(ergodic._sample_pairs(cfg, trials))
+                expected = [sample_rational(cfg, t) for t in trials]
+                assert [Fraction(p, q) for p, q in pairs] == expected, (bits, trials)
+                assert all(math.gcd(p, q) == 1 for p, q in pairs)
 
     def test_negative_seed_or_trial_rejected(self):
-        # the config rejects a seed before any block is seeded, a bool too
+        # the config rejects a seed before any sample is drawn, a bool too
         for seed in (-1, True):
             with pytest.raises(ValueError,
                                match=f"^seed must be a non-negative integer, got {seed}$"):
                 SampleConfig(N=1, seed=seed)
         with pytest.raises(TypeError):
             SampleConfig(N=1, seed=1.0)
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            ergodic._pcg_states(-1, range(2))
-        with pytest.raises(ValueError, match="trial must be a non-negative integer"):
+        with pytest.raises(ValueError, match="^trial must be a non-negative integer, got -1$"):
             sample_rational(CFG, -1)
 
     def test_different_trials_differ(self):
@@ -289,8 +275,7 @@ class TestBirkhoffEstimates:
         ]
         reports = orbit_estimates(cfg, requests)
         assert reports == singles
-        # the records were captured before each observable's label, target,
-        # per-trial statistic and pooling moved into one resolver per request
+        # the records were captured once trial t read PCG64(seed).jumped(t)
         records = json.loads(json.dumps([report.to_record() for report in reports]))
         assert records == json.loads(ORBIT_GOLDEN.read_text())
 
@@ -430,10 +415,13 @@ class TestLyapunovAndLevy:
         assert 1.2 < se_small / se_large < 1.7
 
     def test_longer_orbits_tighten_estimates(self):
+        # a per-trial mean over an orbit four times as long spreads about
+        # sqrt(128/512) = 0.5 as wide; one deviation against another is a coin
+        # toss, the spread of 100 trials is not
         for estimator in (lambda c: birkhoff_estimate(c, "log-digit"), lyapunov_estimate):
             short = estimator(SampleConfig(N=1, trials=100, denominator_bits=128, seed=5))
             long = estimator(SampleConfig(N=1, trials=100, denominator_bits=512, seed=5))
-            assert long.rel_deviation < short.rel_deviation
+            assert long.per_trial_std < 0.8 * short.per_trial_std
 
 
 class TestBoundAchievement:
