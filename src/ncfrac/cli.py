@@ -20,7 +20,8 @@ import math
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import repeat
+from itertools import chain, repeat
+from types import GeneratorType
 from typing import Callable, Iterator, Optional
 
 from . import __version__, constants, ergodic, ulam
@@ -100,7 +101,8 @@ def _fraction_log10(value: Fraction) -> Optional[float]:
 
 
 # --------------------------------------------------------------------------
-# subcommands: each returns (results, exit_code)
+# subcommands: each returns (results, exit_code); constants' results are a
+# generator of records, every check already run, each record made as it is written
 
 
 def _cmd_expand(args) -> tuple[list[dict], int]:
@@ -131,14 +133,14 @@ def _cmd_expand(args) -> tuple[list[dict], int]:
     return [result], 0
 
 
-def _cmd_constants(args) -> tuple[list[dict], int]:
+def _cmd_constants(args) -> tuple[Iterator[dict], int]:
     ns = _parse_n_values(args.n)
     try:
         rs = [float(chunk) for chunk in args.r.split(",")]
     except ValueError:
         raise ValueError(f"orders must be numbers, got {args.r!r}") from None
     reports = constants.ConstantsReport.compute_many(ns, rs)
-    return [report.to_record() for report in reports], 0
+    return (report.to_record() for report in reports), 0
 
 
 def _row(suite: str, n: int, quantity: str, value, target, tolerance: float, deviation,
@@ -219,26 +221,38 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _render_csv(command: str, results: list[dict]) -> str:
-    """A header row, then one row per convergent, (N, quantity) pair or verify check."""
+def _render_csv(command: str, results) -> Iterator[str]:
+    """A header row, then one row per convergent, (N, quantity) pair or verify check;
+    constants are written a record at a time, each row's cells read off the record."""
     if command == "expand":
         header = ["n", "A", "B", "ratio", "abs_error", "log10_abs_error"]
-        rows = [conv for result in results for conv in result["convergents"]]
+        groups = [[[_format_cell(conv[key]) for key in header]
+                   for result in results for conv in result["convergents"]]]
     elif command == "constants":
         header = ["N", "quantity", "value"]
-        rows = [{"N": record["N"], "quantity": key, "value": value}
-                for record in results for key, value in record.items() if key != "N"]
+        groups = ([(n, key, _format_cell(value)) for key, value in record.items() if key != "N"]
+                  for record in results for n in [_format_cell(record["N"])])
     else:  # verify
         header = ["suite", "N", "quantity", "value", "target", "deviation", "tolerance", "pass"]
-        rows = results
+        groups = [[[_format_cell(row[key]) for key in header] for row in results]]
     buffer = io.StringIO()
     writer = csv.writer(buffer)
-    writer.writerow(header)
-    writer.writerows([_format_cell(row[key]) for key in header] for row in rows)
-    return buffer.getvalue()
+    for rows in chain([[header]], groups):
+        writer.writerows(rows)
+        yield buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
 
 
-def _render_plain(command: str, results: list[dict]) -> str:
+def _render_plain(command: str, results) -> Iterator[str]:
+    """A block of lines per expansion, per constants record (one a piece) or one
+    line per verify check and a count of those passed."""
+    if command == "constants":
+        for record in results:
+            yield f"N = {record['N']}\n" + "".join(
+                f"  {key:<28} {_format_cell(value)}\n" for key, value in record.items()
+                if key != "N")
+        return
     lines = []
     if command == "expand":
         for result in results:
@@ -253,12 +267,6 @@ def _render_plain(command: str, results: list[dict]) -> str:
                         f"{conv['n']:>4}  {conv['A']:>24}  {conv['B']:>24}  "
                         f"{conv['ratio']:>28}  {conv['abs_error']:>12.5e}"
                     )
-    elif command == "constants":
-        for record in results:
-            lines.append(f"N = {record['N']}")
-            for key, value in record.items():
-                if key != "N":
-                    lines.append(f"  {key:<28} {_format_cell(value)}")
     else:
         for row in results:
             status = "PASS" if row["pass"] else "FAIL"
@@ -269,11 +277,12 @@ def _render_plain(command: str, results: list[dict]) -> str:
             )
         failed = sum(1 for row in results if not row["pass"])
         lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    return "\n".join(lines) + "\n"
+    yield "\n".join(lines) + "\n"
 
 
-#: The types json writes as arrays or objects.
-_CONTAINERS = (dict, list, tuple)
+#: The types json writes as arrays or objects; a generator is a list written
+#: as it is read.
+_CONTAINERS = (dict, list, tuple, GeneratorType)
 
 
 @lru_cache(maxsize=None)
@@ -295,13 +304,21 @@ def _json_chunks(value, level: int) -> Iterator[str]:
     that does is encoded in one call too, each container item standing in as
     a 0, and only its container items are walked here.  C sorts its copy's
     items as sorted() sorts the original's: the keys alone decide the order.
+    A generator is read one item at a time, each item joined into one chunk.
     """
     encode = _flat_encoder(level)
     if not isinstance(value, _CONTAINERS):
         yield encode(value)
         return
+    outer, separator = "\n" + "  " * level, ",\n" + "  " * (level + 1)
+    if isinstance(value, GeneratorType):
+        lead = "[" + separator[1:]
+        for item in value:
+            yield lead + "".join(_json_chunks(item, level + 1))
+            lead = separator
+        yield "[]" if lead != separator else outer + "]"
+        return
     is_dict = isinstance(value, dict)
-    outer = "\n" + "  " * level
     if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
         text = encode(value)
         yield text if len(text) == 2 else f"{text[0]}{outer}  {text[1:-1]}{outer}{text[-1]}"
@@ -313,7 +330,6 @@ def _json_chunks(value, level: int) -> Iterator[str]:
     else:
         items = value
         text = encode([0 if isinstance(item, _CONTAINERS) else item for item in value])
-    separator = ",\n" + "  " * (level + 1)
     lead = text[0] + separator[1:]
     for item, entry in zip(items, text[1:-1].split(separator)):
         if isinstance(item, _CONTAINERS):
@@ -325,9 +341,11 @@ def _json_chunks(value, level: int) -> Iterator[str]:
     yield outer + text[-1]
 
 
-def _render_json(doc) -> str:
-    """Exactly `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, joined once from chunks."""
-    return "".join([*_json_chunks(doc, 0), "\n"])
+def _render_json(doc) -> Iterator[str]:
+    """Exactly `json.dumps(doc, sort_keys=True, indent=2) + "\n"`, in chunks, with
+    each generator in doc written as the list of what it yields."""
+    yield from _json_chunks(doc, 0)
+    yield "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -380,21 +398,22 @@ def main(argv=None) -> int:
     if args.format == "json":
         config = {key: value for key, value in vars(args).items()
                   if key not in ("command", "func", "output")}
-        text = _render_json({"command": args.command, "config": config, "results": results})
+        pieces = _render_json({"command": args.command, "config": config, "results": results})
     elif args.format == "csv":
-        text = _render_csv(args.command, results)
+        pieces = _render_csv(args.command, results)
     else:
-        text = _render_plain(args.command, results)
+        pieces = _render_plain(args.command, results)
 
+    # every check has run: from here each piece is written as it is made
     if args.output:
         try:
             with open(args.output, "w") as handle:
-                handle.write(text)
+                handle.writelines(pieces)
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return code
 
 

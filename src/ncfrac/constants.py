@@ -48,7 +48,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from functools import lru_cache
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -397,48 +398,64 @@ class ConstantsReport:
 
     @classmethod
     def compute(cls, N: int, rs: Sequence[float] = (-1.0, 0.5)) -> "ConstantsReport":
-        return cls.compute_many([N], rs)[0]
+        return next(cls.compute_many([N], rs))
 
     @classmethod
     def compute_many(cls, ns: Sequence[int],
-                     rs: Sequence[float] = (-1.0, 0.5)) -> list["ConstantsReport"]:
+                     rs: Sequence[float] = (-1.0, 0.5)) -> Iterator["ConstantsReport"]:
         """One report per requested index, in request order, duplicates kept;
-        each digit-mean series is summed once for all of them."""
+        each digit-mean series is summed once for all of them.  Every check of
+        every index runs before this returns; each report is made as it is read."""
         ns = [check_index(N) for N in ns]
         geometric = _geometric_mean_series(ns)
         series = {r: _holder_series(ns, r) for r in rs if not (r >= 1 or r == 0)}
+        khinchins = {N: _checked("khinchin", N, math.exp, geometric[N][0]) for N in ns}
         labels = tuple(_order_label(r) for r in rs)
-        reports = []
-        for N in ns:
-            khin = _checked("khinchin", N, math.exp, geometric[N][0])
-            diagnostics = {"khinchin": geometric[N][1:]}
-            holder: list[tuple[float, float]] = []
-            for r, label in zip(rs, labels):
-                if r >= 1:
-                    holder.append((r, math.inf))
-                elif r == 0:
-                    holder.append((r, khin))
-                else:
-                    holder.append((r, series[r][N][0]))
-                    diagnostics[f"holder[r={label}]"] = series[r][N][1:]
-            lam = levy_lambda(N)
-            lyap = 2.0 * lam + math.log(N)
-            lyap_bound, denom_bound = lower_bounds(N)
-            reports.append(cls(
-                N=N, khinchin=khin, holder_means=tuple(holder), levy_lambda=lam,
-                levy_L=lam + math.log(N), lyapunov=lyap, loch=math.log(10) / lyap,
-                lower_bound_lyapunov=lyap_bound, lower_bound_denominator=denom_bound,
-                order_labels=labels, diagnostics=diagnostics))
-        return reports
+        names = tuple(f"holder[r={label}]" for label in labels)
+
+        def reports() -> Iterator["ConstantsReport"]:
+            for N in ns:
+                khin = khinchins[N]
+                diagnostics = {"khinchin": geometric[N][1:]}
+                holder: list[tuple[float, float]] = []
+                for r, name in zip(rs, names):
+                    if r >= 1:
+                        holder.append((r, math.inf))
+                    elif r == 0:
+                        holder.append((r, khin))
+                    else:
+                        holder.append((r, series[r][N][0]))
+                        diagnostics[name] = series[r][N][1:]
+                lam = levy_lambda(N)
+                lyap = 2.0 * lam + math.log(N)
+                lyap_bound, denom_bound = lower_bounds(N)
+                yield cls(
+                    N=N, khinchin=khin, holder_means=tuple(holder), levy_lambda=lam,
+                    levy_L=lam + math.log(N), lyapunov=lyap, loch=math.log(10) / lyap,
+                    lower_bound_lyapunov=lyap_bound, lower_bound_denominator=denom_bound,
+                    order_labels=labels, diagnostics=diagnostics)
+
+        return reports()
 
     def to_record(self) -> dict:
         """Flatten to one JSON/CSV-friendly key-value record."""
         record: dict = {key: getattr(self, key) for key in (
             "N", "khinchin", "levy_lambda", "levy_L", "lyapunov", "loch",
             "lower_bound_lyapunov", "lower_bound_denominator")}
-        for (_, value), label in zip(self.holder_means, self.order_labels):
-            record[f"holder_mean[r={label}]"] = "divergent" if math.isinf(value) else value
-        for name, (terms, bound) in self.diagnostics.items():
-            record[f"{name}_terms"] = terms
-            record[f"{name}_tail_bound"] = bound
+        holder_keys, diagnostic_keys = _record_keys(self.order_labels, tuple(self.diagnostics))
+        for key, (_, value) in zip(holder_keys, self.holder_means):
+            record[key] = "divergent" if math.isinf(value) else value
+        for (terms_key, bound_key), (terms, bound) in zip(diagnostic_keys,
+                                                         self.diagnostics.values()):
+            record[terms_key] = terms
+            record[bound_key] = bound
         return record
+
+
+@lru_cache(maxsize=64)
+def _record_keys(labels: tuple[str, ...],
+                 names: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
+    """A record's power-mean keys and its diagnostics' (terms, tail bound) keys,
+    worked out once for all the reports of a request."""
+    return (tuple(f"holder_mean[r={label}]" for label in labels),
+            tuple((f"{name}_terms", f"{name}_tail_bound") for name in names))

@@ -97,13 +97,14 @@ def _reject_constant(token: str):
 
 def test_console_script_runs(capsys):
     # the four commands of the CI step "Installed console script", run in-process;
-    # the step loads the bounds and expand documents as strict JSON
+    # the step loads the constants, bounds and expand documents as strict JSON
     scripts = _console_scripts()
     assert scripts == {"ncfrac": "ncfrac.cli:main"}
     module, _, attr = scripts["ncfrac"].partition(":")
     main = getattr(importlib.import_module(module), attr)
     assert main(["constants", "--n", "1..3", "--format", "json"]) == 0
-    assert [row["N"] for row in json.loads(capsys.readouterr().out)["results"]] == [1, 2, 3]
+    records = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
+    assert [record["N"] for record in records] == [1, 2, 3]
     assert main(["verify", "bounds", "--n", "1", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
     assert all(row["pass"] for row in rows)
