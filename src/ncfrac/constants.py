@@ -25,14 +25,13 @@ summands are positive, plus the zeta tail at K + 1.  S grows as N falls, so
 the bound stays below 2**-60 * S for every index carried down from it, far
 under the rounding of S.
 
-The walk is done in whole arrays, with the same roundings as a term-by-term
-loop: the summand is evaluated once over an anchor's run of indices; each
-index's new terms are one term or numpy's pairwise ``.sum()`` of its slice;
-``np.cumsum`` over [zeta tail, segments...] gives every running total, since
-add accumulation goes left to right; and the Neumaier error of each step,
-formed elementwise with ``np.where``, accumulates the same way into the
-compensation.  The dilogarithm uses Landen's identity,
--Li2(-x) = Li2(x/(1+x)) + log(1+x)**2/2: positive terms in x/(1+x) <= 1/2.
+The summand is evaluated in one array over an anchor's run of indices, split
+at 8,192 terms so the array stays in cache.  Each index's new terms are one
+term or numpy's pairwise ``.sum()`` of its slice; the index adds them to the
+running sum with one Neumaier step in Python floats, as a term-by-term loop
+would, and is yielded as soon as it is summed.  The dilogarithm uses
+Landen's identity, -Li2(-x) = Li2(x/(1+x)) + log(1+x)**2/2: positive terms in
+x/(1+x) <= 1/2.
 
 Everything here is double precision.  A power mean whose undivided series,
 about N**(r-1)/(1-r), is below the smallest normal double is rejected,
@@ -190,9 +189,10 @@ def _hurwitz_zeta(t: float, a: float) -> float:
 
 
 def _suffix_series(ns, offset: int, summand, tail):
-    """{N: (S / log(1 + 1/N), terms summed directly, tail bound)} for each distinct N
-    in ns, S = sum_{k >= N + offset} summand(k), every term positive, with the
-    tail expansion ``tail`` of the summand as (s - 1, c) pairs (module docstring).
+    """Yield (N, S / log(1 + 1/N), terms summed directly, tail bound) once for each
+    distinct N in ns, the largest first, S = sum_{k >= N + offset} summand(k), every
+    term positive, with the tail expansion ``tail`` of the summand as (s - 1, c)
+    pairs (module docstring).
     """
     *tail, (t_next, c_next) = tail
     # the indices from the largest down, as runs (starts an anchor, [N, ...]); a run
@@ -206,7 +206,6 @@ def _suffix_series(ns, offset: int, summand, tail):
         else:
             runs[-1][1].append(N)
             size += gap
-    out = {}
     for anchor, run in runs:
         if anchor:
             first = run[0] + offset
@@ -222,31 +221,24 @@ def _suffix_series(ns, offset: int, summand, tail):
         bounds = [0, *itertools.accumulate(lengths)]
         j = np.arange(bounds[-1], dtype=float) - np.repeat(np.array(bounds[:-1], float), lengths)
         terms = summand(np.repeat([float(f) for f in firsts], lengths) + j)
-        steps = np.empty(len(run) + 1)  # [total, segment 0, segment 1, ...]
-        steps[0], steps[1:] = total, terms[bounds[:-1]]
-        for i, (begin, end) in enumerate(zip(bounds, bounds[1:]), 1):
+        for N, first, segment, begin, end in zip(run, firsts, terms[bounds[:-1]].tolist(),
+                                                 bounds, bounds[1:]):
             if end - begin > 1:
-                steps[i] = terms[begin:end].sum()
-        # the running sum is total + comp (Neumaier; all terms are positive); cumsum
-        # adds left to right, so each step rounds as a scalar loop would
-        totals = np.cumsum(steps)
-        before, after, segments = totals[:-1], totals[1:], steps[1:]
-        errors = np.where(before >= segments, (before - after) + segments,
-                          (segments - after) + before)
-        steps[0], steps[1:] = comp, errors  # the segments are spent
-        comps = np.cumsum(steps)
-        total, comp, stop = totals[-1], comps[-1], firsts[-1]
-        for N, first, S in zip(run, firsts, (after + comps[1:]).tolist()):
+                segment = float(terms[begin:end].sum())
+            # the running sum is total + comp (Neumaier; all terms are positive)
+            running = total + segment
+            comp += (total - running) + segment if total >= segment else (segment - running) + total
+            total = running
             scale = math.log1p(1.0 / N)
-            out[N] = (S / scale, K - first + 1, omitted / scale)
-    return out
+            yield N, (total + comp) / scale, K - first + 1, omitted / scale
+        stop = firsts[-1]
 
 
 def _geometric_mean_series(ns) -> dict[int, tuple[float, int, float]]:
     """log of the digit geometric mean; {N: (value, terms used, tail bound)}."""
-    sums = _suffix_series(ns, 1, lambda k: np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k),
-                          [(s - 1, c) for s, c in _GEOMEAN_TAIL])
-    return {N: (math.log(N) + mean, terms, bound) for N, (mean, terms, bound) in sums.items()}
+    return {N: (math.log(N) + mean, terms, bound) for N, mean, terms, bound in _suffix_series(
+        ns, 1, lambda k: np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k),
+        [(s - 1, c) for s, c in _GEOMEAN_TAIL])}
 
 
 def khinchin(N: int) -> float:
@@ -284,13 +276,13 @@ def _holder_series(ns, r: float) -> dict[int, tuple[float, int, float]]:
         if float(N) ** (r - 1) < sys.float_info.min:
             raise ValueError(f"{name} at N = {N} is out of reach: order r = {r} "
                              "is too negative, N**(r-1) underflows")
-    sums = _suffix_series(ns, 0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
-                          [((s - 1) - r, c) for s, c in _LOG1P_BRANCH_TAIL])
     # the exponent 1/r as fl(1/r) plus its rounding, formed in rationals
     q = 1.0 / r
     d = float(1 / Fraction(r) - Fraction(q))
     return {N: (_checked(name, N, _root, mean, q, d), terms, bound)
-            for N, (mean, terms, bound) in sums.items()}
+            for N, mean, terms, bound in _suffix_series(
+                ns, 0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
+                [((s - 1) - r, c) for s, c in _LOG1P_BRANCH_TAIL])}
 
 
 def holder_mean(N: int, r: float) -> float:

@@ -465,6 +465,131 @@ def test_json_output_is_strict(capsys, argv):
     json.loads(out, parse_constant=_reject_constant)
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    # a prefix may be empty: expand owns max_terms >= 0
+    (("expand", "2/3", "--max-terms", "0"), 0, ""),
+    # an orbit average needs a digit: SampleConfig owns max_terms >= 1
+    (("verify", "levy", "--max-terms", "0"), 2, "error: max_terms must be >= 1, got 0\n"),
+])
+def test_max_terms_zero_is_each_consumers_rule(capsys, argv, code, err):
+    got_code, out, got_err = run_cli(capsys, *argv, "--format", "json")
+    assert (got_code, got_err) == (code, err)
+    if code == 0:
+        (result,) = json.loads(out)["results"]
+        assert result["coeffs"] == [] and result["convergents"] == []
+
+
+_FLOAT_MAX = int(sys.float_info.max)
+# small indices most often; then edges of the float range, and 400-digit values
+_int_values = st.one_of(
+    st.integers(1, 20), st.integers(1, 10**4),
+    st.sampled_from([-2, -1, 0, 2**53 - 1, 2**53 + 1, 10**308, _FLOAT_MAX - 1, _FLOAT_MAX]),
+    st.sampled_from([_FLOAT_MAX + 1, 10**309]) | st.integers(10**399, 10**400 - 1))
+
+
+@st.composite
+def _int_text(draw):
+    """An integer as int() reads it (signs, an underscore, spaces, leading zeros), or not."""
+    value = draw(_int_values)
+    text = str(value)
+    style = draw(st.sampled_from(["plain", "plain", "sign", "underscore", "spaces", "zeros",
+                                  "bad"]))
+    if style == "sign" and value >= 0:
+        text = "+" + text
+    elif style == "underscore" and len(text) > 1:
+        cut = draw(st.integers(1, len(text) - 1))
+        text = text[:cut] + "_" + text[cut:]
+    elif style == "spaces":
+        text = f" {text} "
+    elif style == "zeros":
+        text = text.replace("-", "-00") if value < 0 else "00" + text
+    elif style == "bad":
+        text = draw(st.sampled_from(["", "x", "1.5", "1e3", "_1", "1__0", "0x10", "١"]))
+    return text
+
+
+@st.composite
+def _index_text(draw):
+    """A --n value naming at most 3 indices: one range, or up to 3 indices and
+    ranges of at most one index, comma-separated."""
+    if draw(st.booleans()):
+        lo = draw(_int_values)
+        return f"{lo}..{lo + draw(st.integers(-1, 2))}"
+    chunks = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            chunks.append(draw(_int_text()))
+        else:
+            lo = draw(_int_values)
+            chunks.append(f"{lo}..{lo + draw(st.integers(-1, 0))}")
+    return ",".join(chunks)
+
+
+def _flag(name, valid, invalid):
+    """[] or [name, value], the value three times as often valid as not."""
+    values = st.sampled_from(valid) | st.sampled_from(valid) | st.sampled_from(valid)
+    return st.just([]) | (values | st.sampled_from(invalid)).map(lambda v: [name, str(v)])
+
+
+_orders = st.lists(st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e308", "5e-324",
+                                    "0.9999999999999999", "-1", "0.5", "0", "-0", "2", "x", ""]),
+                   min_size=1, max_size=3).map(",".join)
+_fractions = (st.builds("{}/{}".format, _int_values | st.integers(-5, 5),
+                        _int_values | st.integers(-5, 5))
+              | st.sampled_from(["0.5", "1/2.0", "1//2", "", "2/3/4", "1/0", "1/-2"]))
+
+
+@st.composite
+def _argv(draw):
+    """One command line at small work sizes: trials <= 3, bits <= 128, cells <= 64."""
+    command = draw(st.sampled_from(["expand", "constants", "verify"]))
+    if command == "expand":
+        argv = ["expand", draw(_fractions)]
+        argv += draw(st.just([]) | _int_text().map(lambda n: [f"--n={n}"]))
+        argv += draw(_flag("--max-terms", [0, 1, 2, 10000], [-1, "1.5"]))
+    elif command == "constants":
+        argv = ["constants", f"--n={draw(_index_text())}"]
+        argv += draw(st.just([]) | _orders.map(lambda r: [f"--r={r}"]))
+    else:
+        argv = ["verify", draw(st.sampled_from(sorted(cli.SUITES))), f"--n={draw(_index_text())}",
+                "--trials", draw(st.sampled_from(["1", "2", "3", "1", "2", "3", "0", "-1"])),
+                "--bits", draw(st.sampled_from(["64", "65", "96", "128"] * 2 + ["63", "0"]))]
+        argv += draw(_flag("--cells", [16, 17, 64], [-1, 0, 15, 2049]))
+        argv += draw(_flag("--seed", [0, 1, 2**32, 2**64 - 1, 2**64, 2**128], [-1, "x"]))
+        argv += draw(_flag("--max-terms", [1, 2, 10000], [-1, 0]))
+    return argv + ["--format", "json"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argv())
+@example(["constants", "--n=1,2", "--r=nan", "--format", "json"])
+@example(["constants", "--n=3", "--r=inf,-inf,1e400", "--format", "json"])
+@example(["constants", "--n=1", "--r=-1e308,5e-324,0.9999999999999999", "--format", "json"])
+@example(["constants", f"--n={_FLOAT_MAX}", "--r=-1,0.5", "--format", "json"])
+@example(["constants", f"--n={10**399}..{10**399 + 1}", "--format", "json"])
+@example(["expand", "2/-3", "--format", "json"])
+@example(["expand", "2/3", "--n= +1_0 ", "--max-terms", "0", "--format", "json"])
+@example(["verify", "levy", f"--n={_FLOAT_MAX}", "--trials", "3", "--bits", "64", "--format",
+          "json"])
+@example(["verify", "ulam", "--n=1..3", "--cells", "16", "--trials", "1", "--bits", "64",
+          "--format", "json"])
+def test_every_argv_exits_0_1_or_2_without_a_traceback(argv):
+    # in-process: exit 2 ends stderr with an error line and writes no stdout;
+    # exit 0 or 1 writes one strict JSON document
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2) and "Traceback" not in err.getvalue()
+    if code == 2:
+        assert re.match(r"(ncfrac( \w+)?: )?error: ", err.getvalue().splitlines()[-1])
+        assert out.getvalue() == ""
+    else:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
 _json_text = st.text(st.characters() | st.sampled_from("\n\r\t\x00\x1f\x7f\u2028é€😀"),
                      max_size=6)
 _json_scalars = (st.none() | st.booleans() | st.floats() | st.floats().map(np.float64)

@@ -495,10 +495,10 @@ class TestConstantsBatch:
 
 
 def _loop_suffix_series(ns, offset, summand, tail):
-    """The scalar walk that _suffix_series replaced: one numpy evaluation and one
-    Neumaier step per index, in Python floats; its oracle, bit for bit."""
+    """The oracle of _suffix_series, bit for bit: one numpy evaluation and one
+    Neumaier step per index, in Python floats, with no run split and no shared
+    summand array; it yields what _suffix_series yields, in the same order."""
     *tail, (t_next, c_next) = tail
-    out = {}
     total = comp = 0.0
     stop = math.inf
     for N in sorted(set(ns), reverse=True):
@@ -513,8 +513,7 @@ def _loop_suffix_series(ns, offset, summand, tail):
         running = total + segment
         comp += (total - running) + segment if total >= segment else (segment - running) + total
         total, stop = running, first
-        out[N] = ((total + comp) / scale, K - first + 1, omitted / scale)
-    return out
+        yield N, (total + comp) / scale, K - first + 1, omitted / scale
 
 
 def _series_args(r):
@@ -527,7 +526,8 @@ def _series_args(r):
 
 
 def _bits(sums):
-    return {N: (value.hex(), terms, bound.hex()) for N, (value, terms, bound) in sums.items()}
+    """The yielded (N, value, terms, bound) tuples as a list, floats in hex."""
+    return [(N, value.hex(), terms, bound.hex()) for N, value, terms, bound in sums]
 
 
 @st.composite
@@ -572,6 +572,15 @@ class TestSuffixSeries:
     def test_fixed_requests_match_scalar_walk(self, ns, r):
         args = _series_args(r)
         assert _bits(constants._suffix_series(ns, *args)) == _bits(_loop_suffix_series(ns, *args))
+
+    def test_walk_yields_each_index_once_largest_first(self):
+        # duplicates, an anchor (10**6 lies over _CARRY_TERMS above the rest) and a
+        # run longer than _CHUNK_TERMS, shuffled: every N comes once, a table built
+        # from the walk can lose no entry to a repeat
+        ns = [10**6, *range(1, 3 * constants._CHUNK_TERMS, 1000), 5, 5, 10**6, 1]
+        random.Random(0).shuffle(ns)
+        walk = constants._suffix_series(ns, *_series_args(None))
+        assert [N for N, *_ in walk] == sorted(set(ns), reverse=True)
 
 
 class TestOrderLabels:

@@ -96,8 +96,8 @@ def _reject_constant(token: str):
 
 
 def test_console_script_runs(capsys):
-    # the four commands of the CI step "Installed console script", run in-process;
-    # the step loads the constants, bounds and expand documents as strict JSON
+    # the five commands of the CI step "Installed console script", run in-process;
+    # the step loads the constants, bounds, levy and expand documents as strict JSON
     scripts = _console_scripts()
     assert scripts == {"ncfrac": "ncfrac.cli:main"}
     module, _, attr = scripts["ncfrac"].partition(":")
@@ -108,6 +108,9 @@ def test_console_script_runs(capsys):
     assert main(["verify", "bounds", "--n", "1", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
     assert all(row["pass"] for row in rows)
+    assert main(["verify", "levy", "--n", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
+    assert rows and all(row["pass"] for row in rows)
     assert main(["verify", "ulam", "--n", "1", "--cells", "16"]) == 0
     assert "FAIL" not in capsys.readouterr().out
     assert main(["expand", "2/3", "--n", "1", "--format", "json"]) == 0
