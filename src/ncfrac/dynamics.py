@@ -2,9 +2,12 @@
 
 Everything here is integer arithmetic on rationals: for x = p/q in lowest
 terms the map sends p/q to (N*q mod p)/p, so orbits of rationals reach 0 in
-finitely many steps and expansion digits come out exactly.  No floating
-point is used anywhere in this module; the lossy double-precision shadow
-iteration lives in :mod:`ncfrac.ergodic` and is for diagnostics only.
+finitely many steps and expansion digits come out exactly.  Long orbits
+take their digits in certified Lehmer batches read from the leading bits,
+which return exactly what the one-digit loop returns (see :func:`_walk`).
+No floating point is used anywhere in this module; the lossy
+double-precision shadow iteration lives in :mod:`ncfrac.ergodic` and is for
+diagnostics only.
 """
 
 from __future__ import annotations
@@ -119,6 +122,42 @@ def digit(x: RationalLike, N: int) -> int:
     return N * x.denominator // x.numerator
 
 
+#: Lehmer batches (Lehmer 1938; Knuth, TAOCP vol. 2, sec. 4.5.2) step the
+#: leading _LEAD_BITS bits of p and q, each with a cofactor tag in two fields of
+#: _FIELD_BITS bits below them, so a batch costs one short divmod per digit and
+#: four products of a full-width integer by a cofactor.
+_LEAD_BITS = 256
+_FIELD_BITS = 176
+_FIELD_MASK = (1 << _FIELD_BITS) - 1
+_FIELD_HALF = 1 << (_FIELD_BITS - 1)
+#: shorter batches (N >= 2**23) ran at 0.8-1.15x the plain loop's speed just
+#: above their floor
+_MIN_BATCH = 5
+
+
+def _steps(p: int, q: int, N: int, n: int, append) -> tuple[int, int]:
+    """The plain loop: up to n exact steps from (p, q), each digit passed to append."""
+    for _ in range(n):
+        if not p:
+            break
+        a, r = divmod(N * q, p)
+        append(a)
+        p, q = r, p
+    return p, q
+
+
+def _batch_length(N: int) -> int:
+    """Digits per batch: a step spends about 2*bit_length(N) + 4 bits of the lead."""
+    return _LEAD_BITS // (4 + 2 * N.bit_length())
+
+
+def _cofactors(packed: int) -> tuple[int, int]:
+    """(u, v) from the low fields u * 2**F + v of a packed state, each |.| < 2**(F-1)."""
+    v = ((packed + _FIELD_HALF) & _FIELD_MASK) - _FIELD_HALF
+    u = ((((packed - v) >> _FIELD_BITS) + _FIELD_HALF) & _FIELD_MASK) - _FIELD_HALF
+    return u, v
+
+
 def _walk(p: int, q: int, N: int, max_terms: int) -> tuple[list[int], int, int]:
     """Digits of the first max_terms exact steps of the orbit of p/q, and the last image.
 
@@ -127,15 +166,56 @@ def _walk(p: int, q: int, N: int, max_terms: int) -> tuple[list[int], int, int]:
     the same step.  Stops at 0 or after max_terms steps, and returns the
     digits with the last image as an unreduced pair (p, q), whose q is the
     numerator stepped from (p/q itself when no step was taken).
+
+    While p is longer than 1024 + 320*bit_length(N) bits, where a batch was
+    measured to pay, the digits come k = _batch_length(N) at a time.  With
+    W = _LEAD_BITS, F = _FIELD_BITS, p' = p >> s and q' = q >> s for
+    s = bit_length(p) - W, the plain loop runs k steps on the packed pair
+    P = p' * 2**2F + 2**F, Q = q' * 2**2F + 1.  A step is linear, so
+    P_k = (u*p' + v*q') * 2**2F + u * 2**F + v, and Q_k likewise with
+    (u1, v1), where p_k = u*p + v*q and q_k = u1*p + v1*q are the exact
+    states k steps on.  The batch is kept only if
+
+    * k*bit_length(N) + bit_length(max(P, Q)) - bit_length(Q_k) < F - 1.
+      Each packed digit after the first is >= N, since Q_{j-1} = P_{j-2} >
+      P_{j-1}, so the cofactors grow along the batch; and the packed states
+      satisfy N^k Q = |u| Q_k + |u1| P_k and N^k P = |v1| P_k + |v| Q_k.  So
+      all four cofactors are below 2**(F-1) and decode exactly.
+    * 0 < p_k < q_k.  A loop that stopped early ended on a packed 0, so p_k = 0.
+
+    Then it is exact: going back from x_k = p_k/q_k in (0, 1), each
+    x_{j-1} = N/(a_j + x_j) with j >= 2 lies in (0, 1), and so
+    floor(N/x_{j-1}) = a_j for every j: the batch's digits and (p_k, q_k) are
+    the plain loop's own.  A batch that fails is replaced by k//2 plain
+    steps.  Fewer than k steps left, a short p, or k < _MIN_BATCH
+    (N >= 2**23) take the plain loop.
     """
     digits: list[int] = []
     append = digits.append
-    for _ in range(max_terms):
-        if not p:
-            break
-        a, r = divmod(N * q, p)
-        append(a)
-        p, q = r, p
+    batch = _batch_length(N)
+    width = N.bit_length()
+    floor = 1024 + 320 * width
+    left = max_terms
+    while left >= batch >= _MIN_BATCH and p.bit_length() > floor:
+        s = p.bit_length() - _LEAD_BITS
+        P = ((p >> s) << 2 * _FIELD_BITS) + (1 << _FIELD_BITS)
+        Q = ((q >> s) << 2 * _FIELD_BITS) + 1
+        top = max(P, Q).bit_length()
+        block: list[int] = []
+        P, Q = _steps(P, Q, N, batch, block.append)
+        if batch * width + top - Q.bit_length() < _FIELD_BITS - 1:
+            u, v = _cofactors(P)
+            u1, v1 = _cofactors(Q)
+            pk, qk = u * p + v * q, u1 * p + v1 * q
+            if 0 < pk < qk:
+                digits += block
+                p, q = pk, qk
+                left -= batch
+                continue
+        n = batch // 2
+        p, q = _steps(p, q, N, n, append)
+        left -= n
+    p, q = _steps(p, q, N, left, append)
     return digits, p, q
 
 

@@ -105,10 +105,14 @@ def _psi_tail(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     h = c[1]
     edges = np.maximum(a, _PSI_SERIES_FROM) + c
     x, y = edges[..., :-1], edges[..., 1:]
+    # log1p(t) rounds to t below 2**-53, and is slow where t is subnormal
+    total = h / x
+    if total.max() >= 2.0**-53:
+        total = np.log1p(total)
     # x*y overflows for N*m above about 1.3e154, where the term is below 1e-300
     # and h/inf = 0 is right to double precision
     with np.errstate(over="ignore"):
-        total = np.log1p(h / x) + h / (2 * x * y)
+        total += h / (2 * x * y)
     # the cut drops p = 4 from a = 92, 3 from 389, 2 from 8326 and 1 from
     # 1.55e8, so no power is taken where it would underflow to a slow subnormal
     x_min = max(float(a.min()), _PSI_SERIES_FROM)
@@ -249,7 +253,10 @@ def build_model(N: int, m: int) -> UlamModel:
     def matvec(pi: np.ndarray) -> np.ndarray:
         weights = np.repeat(pi[rows], lengths)
         weights *= vals
-        nxt = pi[: len(head)] @ head
+        # OpenBLAS takes a product of 512 columns on one thread, and the whole
+        # head on two for no gain; the blocks give the whole product's bits
+        lead = pi[: len(head)]
+        nxt = np.concatenate([lead @ head[:, s : s + 512] for s in range(0, m, 512)])
         nxt += np.bincount(cols, weights, minlength=m)
         return nxt
 

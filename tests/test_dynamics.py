@@ -1,11 +1,13 @@
 """Exact map dynamics: frozen examples, domain errors, and algebraic properties."""
 
+import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncfrac import (
@@ -19,7 +21,8 @@ from ncfrac import (
     gauss_map,
     orbit,
 )
-from ncfrac.dynamics import _walk
+from ncfrac import dynamics
+from ncfrac.dynamics import DEFAULT_MAX_TERMS, _walk
 
 # map index and a random rational in [0, 1)
 unit_fractions = st.tuples(
@@ -43,6 +46,43 @@ def kernel_steps(x, N, max_terms):
         (a,), p, q = _walk(p, q, N, 1)
         out.append((a, p, q))
     return out
+
+
+def plain_walk(p, q, N, max_terms):
+    """The kernel's one-digit loop, the reference for its batches."""
+    digits = []
+    for _ in range(max_terms):
+        if not p:
+            break
+        a, r = divmod(N * q, p)
+        digits.append(a)
+        p, q = r, p
+    return digits, p, q
+
+
+def fibonacci_pair(bits):
+    """Consecutive Fibonacci numbers (F_n, F_n+1) with F_n+1 of the given bit length."""
+    p, q = 1, 1
+    while q.bit_length() < bits:
+        p, q = q, p + q
+    return p, q
+
+
+@st.composite
+def big_orbits(draw):
+    """(p, q, N): q of 64 to 9000 bits, on both sides of every batch floor, and
+    p random, next to the fixed point [N, N, ...] (long runs of digit N) or,
+    as a Fibonacci pair, on it; N up to 2**40, past the last batched index."""
+    N = draw(st.one_of(st.integers(min_value=1, max_value=12),
+                       st.integers(min_value=1, max_value=2**40)))
+    bits = draw(st.integers(min_value=64, max_value=9000))
+    kind = draw(st.sampled_from(["random", "fixed point", "fibonacci"]))
+    if kind == "fibonacci":
+        return (*fibonacci_pair(bits), N)
+    q = draw(st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1))
+    if kind == "random":
+        return draw(st.integers(min_value=1, max_value=q - 1)), q, N
+    return (math.isqrt((N * N + 4 * N) * q * q) - N * q) // 2, q, N
 
 
 def reference_walk(x, N, max_terms):
@@ -282,3 +322,84 @@ def test_kernel_matches_reduced_reference(case, depth):
     assert exp.coeffs == tuple(a for a, _ in reference)
     final = reference[-1][1] if reference else x
     assert exp.terminated == (final == 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_orbits(), st.one_of(st.integers(min_value=0, max_value=400),
+                               st.just(DEFAULT_MAX_TERMS)))
+@example((*fibonacci_pair(9000), 2**23 - 1), DEFAULT_MAX_TERMS)  # the shortest batch, k = 5
+def test_batched_walk_matches_plain_loop(orbit_case, max_terms):
+    # max_terms up to 400 ends most walks part way through a batch
+    p, q, N = orbit_case
+    assert _walk(p, q, N, max_terms) == plain_walk(p, q, N, max_terms)
+
+
+def _spy_steps(monkeypatch):
+    """Record (n, bit_length(p)) of every call of the plain loop."""
+    calls, steps = [], dynamics._steps
+
+    def spy(p, q, N, n, append):
+        calls.append((n, p.bit_length()))
+        return steps(p, q, N, n, append)
+
+    monkeypatch.setattr(dynamics, "_steps", spy)
+    return calls
+
+
+def test_long_orbits_take_most_digits_in_kept_batches(monkeypatch):
+    calls = _spy_steps(monkeypatch)
+    rng = random.Random(5)
+    for N in (1, 2, 7, 200):
+        q = rng.getrandbits(8192) | 1 << 8191
+        p = rng.randrange(1, q)
+        calls.clear()
+        walked = _walk(p, q, N, DEFAULT_MAX_TERMS)
+        assert walked == plain_walk(p, q, N, DEFAULT_MAX_TERMS)
+        # a batch steps a packed pair of 256 leading bits over 352 bits of fields;
+        # each rejected one is followed by k // 2 steps at full width
+        k = dynamics._batch_length(N)
+        tried = sum(n == k and width <= 608 for n, width in calls)
+        rejected = sum(n == k // 2 and width > 608 for n, width in calls)
+        assert (tried - rejected) * k > len(walked[0]) / 2
+
+
+@pytest.mark.parametrize("N", [1, 2, 7, 200])
+def test_batch_across_an_unseen_digit_boundary_matches_plain_loop(N):
+    # x_{j-1} = N/(a_j + x_j) lies within 2**-5000 of the digit boundary N/a_j,
+    # far below what the leading bits resolve, at and around a batch's ends:
+    # the certificate must reject such a batch, not keep a digit off by one
+    k = dynamics._batch_length(N)
+    for at in (1, 2, k // 2, k - 1, k, k + 1, 2 * k):
+        for tail in (Fraction(1, 2**5000 + 1), 1 - Fraction(1, 2**5000 + 1)):
+            x = tail
+            for j in range(at):
+                x = N / (N + j % 3 + x)
+            p, q = x.numerator, x.denominator
+            assert _walk(p, q, N, DEFAULT_MAX_TERMS) == plain_walk(p, q, N, DEFAULT_MAX_TERMS)
+
+
+def test_every_batch_past_its_lead_is_rejected(monkeypatch):
+    # 400 steps outrun any 608-bit packed pair: its loop ends early, or its
+    # cofactors fail the bound, so every batch is rejected for 200 plain steps
+    calls = _spy_steps(monkeypatch)
+    monkeypatch.setattr(dynamics, "_batch_length", lambda N: 400)
+    rng = random.Random(6)
+    for N in (1, 2, 7):
+        q = rng.getrandbits(8192) | 1 << 8191
+        p = rng.randrange(1, q)
+        assert _walk(p, q, N, 10**6 + 1) == plain_walk(p, q, N, 10**6 + 1)
+    tried = sum(n == 400 for n, _ in calls)
+    assert tried == sum(n == 200 for n, _ in calls) > 3
+
+
+def test_orbit_steps_on_the_plain_path(monkeypatch):
+    # one digit per call is fewer than a batch holds
+    calls = _spy_steps(monkeypatch)
+    rng = random.Random(7)
+    q = rng.getrandbits(8192) | 1 << 8191
+    x = Fraction(rng.randrange(1, q), q)
+    points = list(itertools.islice(orbit(x, 1), 200))
+    assert len(calls) == 199
+    assert all(n == 1 and width > 7000 for n, width in calls)
+    digits, p, q = plain_walk(x.numerator, x.denominator, 1, 199)
+    assert points[-1] == Fraction(p, q)

@@ -96,8 +96,9 @@ def _reject_constant(token: str):
 
 
 def test_console_script_runs(capsys):
-    # the five commands of the CI step "Installed console script", run in-process;
-    # the step loads the constants, bounds, levy and expand documents as strict JSON
+    # the six commands of the CI step "Installed console script", run in-process;
+    # the step loads the constants, bounds, levy, lyapunov and expand documents as
+    # strict JSON
     scripts = _console_scripts()
     assert scripts == {"ncfrac": "ncfrac.cli:main"}
     module, _, attr = scripts["ncfrac"].partition(":")
@@ -109,6 +110,11 @@ def test_console_script_runs(capsys):
     rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
     assert all(row["pass"] for row in rows)
     assert main(["verify", "levy", "--n", "1", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
+    assert rows and all(row["pass"] for row in rows)
+    # 8192-bit orbits take the kernel's batched path
+    assert main(["verify", "lyapunov", "--n", "1", "--bits", "8192", "--trials", "2",
+                 "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
     assert rows and all(row["pass"] for row in rows)
     assert main(["verify", "ulam", "--n", "1", "--cells", "16"]) == 0
