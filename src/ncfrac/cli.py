@@ -3,7 +3,7 @@
 Non-interactive by design: every subcommand emits a machine-readable report
 (JSON echoing every flag but --output, CSV rows, or a plain-text table) and
 the exit status tells scripts what happened: 0 success / all checks passed,
-1 a verification check failed its tolerance, 2 usage or input error.
+1 a verification check failed its tolerance, 2 usage, input or write error.
 
 Fractions are accepted only as exact "p/q" strings, never as decimals, so
 the exact-arithmetic guarantee holds end to end.  Runs are reproducible:
@@ -13,10 +13,12 @@ the same flags (including --seed) produce byte-identical JSON/CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -59,31 +61,19 @@ MAX_INDICES = 100_000
 
 
 def _parse_n_values(text: str) -> list[int]:
-    """Accept "3", "1..5" and "1,2,5"; the constants and verify suites need float(N).
-
-    Each index is read and named as int() reads and writes it, at any length:
-    int()'s limit of 4300 digits (from Python 3.10.7 on) is lifted meanwhile,
-    so the message depends on the index's value, not on how many digits spell it.
-    The ranges stay ranges until their total length is known to be at most
-    MAX_INDICES."""
+    """Accept "3", "1..5" and "1,2,5", at most MAX_INDICES indices, counted from the
+    ranges' ends before any list is built; the constants and verify suites need float(N)."""
     message = f"indices must be integers >= 1, got {text!r}"
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit:
-        sys.set_int_max_str_digits(0)
     ranges: list[range] = []
-    try:
-        for chunk in text.split(","):
-            lo, dots, hi = chunk.strip().partition("..")
-            try:
-                values = range(int(lo), int(hi if dots else lo) + 1)
-            except ValueError:
-                raise ValueError(message) from None
-            if values and values[-1] > sys.float_info.max:
-                raise ValueError(f"index {values[-1]} is beyond the float range")
-            ranges.append(values)
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
+    for chunk in text.split(","):
+        lo, dots, hi = chunk.strip().partition("..")
+        try:
+            values = range(int(lo), int(hi if dots else lo) + 1)
+        except ValueError:
+            raise ValueError(message) from None
+        if values and values[-1] > sys.float_info.max:
+            raise ValueError(f"index {values[-1]} is beyond the float range")
+        ranges.append(values)
     if any(not values or values[0] < 1 for values in ranges):
         raise ValueError(message)
     # len() of a range longer than sys.maxsize overflows; its ends do not
@@ -300,37 +290,37 @@ def _flat_encoder(level: int) -> Callable[[object], str]:
 def _json_chunks(value, level: int) -> Iterator[str]:
     """`value` as json.dumps(sort_keys=True, indent=2) writes it at indent level `level`.
 
-    A container that holds no container is one call of json's C encoder.  One
-    that does is encoded in one call too, each container item standing in as
-    a 0, and only its container items are walked here.  C sorts its copy's
-    items as sorted() sorts the original's: the keys alone decide the order.
-    A generator is read one item at a time, each item joined into one chunk.
+    A container that holds no container is one call of json's C encoder.  A
+    list, tuple or generator that does is read one item at a time, and each
+    item of a generator (a record) is joined into one chunk.  A dict that does
+    is encoded in one call, each container item standing in as a 0, and only
+    its container items are walked here: C sorts and spells the keys as
+    json.dumps does, and sorts its copy's items as sorted() sorts the original's.
     """
     encode = _flat_encoder(level)
     if not isinstance(value, _CONTAINERS):
         yield encode(value)
         return
     outer, separator = "\n" + "  " * level, ",\n" + "  " * (level + 1)
-    if isinstance(value, GeneratorType):
-        lead = "[" + separator[1:]
-        for item in value:
-            yield lead + "".join(_json_chunks(item, level + 1))
-            lead = separator
-        yield "[]" if lead != separator else outer + "]"
-        return
     is_dict = isinstance(value, dict)
-    if not any(map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
+    if not isinstance(value, GeneratorType) and not any(
+            map(isinstance, value.values() if is_dict else value, repeat(_CONTAINERS))):
         text = encode(value)
         yield text if len(text) == 2 else f"{text[0]}{outer}  {text[1:-1]}{outer}{text[-1]}"
         return
-    if is_dict:
-        items = [item for _, item in sorted(value.items())]
-        text = encode({key: 0 if isinstance(item, _CONTAINERS) else item
-                       for key, item in value.items()})
-    else:
-        items = value
-        text = encode([0 if isinstance(item, _CONTAINERS) else item for item in value])
-    lead = text[0] + separator[1:]
+    if not is_dict:
+        lead = "[" + separator[1:]
+        for item in value:
+            chunks = _json_chunks(item, level + 1)
+            yield lead + ("".join(chunks) if isinstance(value, GeneratorType) else next(chunks))
+            yield from chunks
+            lead = separator
+        yield "[]" if lead != separator else outer + "]"
+        return
+    items = [item for _, item in sorted(value.items())]
+    text = encode({key: 0 if isinstance(item, _CONTAINERS) else item
+                   for key, item in value.items()})
+    lead = "{" + separator[1:]
     for item, entry in zip(items, text[1:-1].split(separator)):
         if isinstance(item, _CONTAINERS):
             yield lead + entry[:-1]
@@ -338,7 +328,7 @@ def _json_chunks(value, level: int) -> Iterator[str]:
         else:
             yield lead + entry
         lead = separator
-    yield outer + text[-1]
+    yield outer + "}"
 
 
 def _render_json(doc) -> Iterator[str]:
@@ -388,33 +378,43 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line; every int in it is read and written at any length,
+    int()'s limit of 4300 digits (from Python 3.10.7 on) lifted for the run."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
-        results, code = args.func(args)
-    except (ValueError, TypeError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    if args.format == "json":
-        config = {key: value for key, value in vars(args).items()
-                  if key not in ("command", "func", "output")}
-        pieces = _render_json({"command": args.command, "config": config, "results": results})
-    elif args.format == "csv":
-        pieces = _render_csv(args.command, results)
-    else:
-        pieces = _render_plain(args.command, results)
-
-    # every check has run: from here each piece is written as it is made
-    if args.output:
+        args = build_parser().parse_args(argv)
         try:
-            with open(args.output, "w") as handle:
-                handle.writelines(pieces)
-        except OSError as exc:
+            results, code = args.func(args)
+        except (ValueError, TypeError, OverflowError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    else:
-        sys.stdout.writelines(pieces)
-    return code
+        if args.format == "json":
+            config = {key: value for key, value in vars(args).items()
+                      if key not in ("command", "func", "output")}
+            pieces = _render_json({"command": args.command, "config": config, "results": results})
+        elif args.format == "csv":
+            pieces = _render_csv(args.command, results)
+        else:
+            pieces = _render_plain(args.command, results)
+        # every check has run: from here each piece is written as it is made,
+        # and flushed here, so that a write error of any size exits 2
+        try:
+            with (open(args.output, "w") if args.output
+                  else contextlib.nullcontext(sys.stdout)) as out:
+                out.writelines(pieces)
+                out.flush()
+        except OSError as exc:
+            if not args.output:  # fd 1 on os.devnull: the flush at exit cannot fail again
+                with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:
+                    os.dup2(devnull.fileno(), sys.stdout.fileno())  # OSError: no descriptor
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        return code
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -36,8 +36,6 @@ class Convergent:
     B: int
 
     def ratio(self) -> Fraction:
-        if self.n == 0:
-            return Fraction(0)
         return Fraction(self.A, self.B)
 
 

@@ -2,12 +2,14 @@
 
 import contextlib
 import csv
+import errno
 import hashlib
 import io
 import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -26,6 +28,13 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# fractions built as strings, so that no int is converted: at N = 7 the first
+# convergent's denominator 14 * 10**4299 has 4301 digits, one past int()'s
+# default limit of 4300, and the second fraction is past it in both its parts
+_LONG_DENOMINATOR = "1/2" + "0" * 4299
+_LONG_FRACTION = "3" * 4400 + "/1" + "0" * 4400
 
 
 class TestExpand:
@@ -83,6 +92,42 @@ class TestExpand:
     def test_out_of_range_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "expand", "3/2")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
+    def test_convergent_past_the_int_digit_limit(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "expand", _LONG_DENOMINATOR, "--n", "7", "--format", fmt)
+        assert (code, err) == (0, "")
+        if fmt == "json":
+            (result,) = json.loads(out, parse_int=str, parse_constant=_reject_constant)["results"]
+            first = result["convergents"][0]["B"]
+        elif fmt == "csv":
+            first = next(csv.DictReader(io.StringIO(out)))["B"]
+        else:
+            first = next(line for line in out.splitlines() if line.split()[:1] == ["1"]).split()[2]
+        assert first == "14" + "0" * 4299
+
+    def test_fraction_past_the_int_digit_limit(self, capsys):
+        code, out, err = run_cli(capsys, "expand", _LONG_FRACTION, "--n", "1", "--format", "json")
+        assert (code, err) == (0, "")
+        (result,) = json.loads(out, parse_int=str)["results"]
+        assert result["terminated"] and result["convergents"][-1]["ratio"] == _LONG_FRACTION
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="int() has no digit limit before Python 3.10.7")
+@pytest.mark.parametrize("argv, code", [
+    (["expand", _LONG_DENOMINATOR, "--n", "7"], 0),
+    (["expand", "1/0"], 2),
+    (["expand", "1/2", "--n", "x"], "usage"),
+], ids=["exit-0", "exit-2", "usage-error"])
+def test_main_restores_the_int_digit_limit(capsys, argv, code):
+    limit = sys.get_int_max_str_digits()
+    if code == "usage":
+        with pytest.raises(SystemExit):
+            main(argv)
+    else:
+        assert main(argv) == code
+    assert sys.get_int_max_str_digits() == limit
 
 
 class TestConstants:
@@ -568,6 +613,8 @@ def _argv(draw):
 @example(["constants", f"--n={_FLOAT_MAX}", "--r=-1,0.5", "--format", "json"])
 @example(["constants", f"--n={10**399}..{10**399 + 1}", "--format", "json"])
 @example(["expand", "2/-3", "--format", "json"])
+@example(["expand", _LONG_DENOMINATOR, "--n=7", "--format", "json"])
+@example(["expand", _LONG_FRACTION, "--format", "json"])
 @example(["expand", "2/3", "--n= +1_0 ", "--max-terms", "0", "--format", "json"])
 @example(["verify", "levy", f"--n={_FLOAT_MAX}", "--trials", "3", "--bits", "64", "--format",
           "json"])
@@ -586,8 +633,8 @@ def test_every_argv_exits_0_1_or_2_without_a_traceback(argv):
     if code == 2:
         assert re.match(r"(ncfrac( \w+)?: )?error: ", err.getvalue().splitlines()[-1])
         assert out.getvalue() == ""
-    else:
-        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:  # its ints may be past int()'s digit limit, which main() lifts only for the run
+        json.loads(out.getvalue(), parse_int=str, parse_constant=_reject_constant)
 
 
 _json_text = st.text(st.characters() | st.sampled_from("\n\r\t\x00\x1f\x7f\u2028é€😀"),
@@ -630,6 +677,16 @@ def test_render_json_streams_a_generator_byte_for_byte(results):
     chunks = list(_render_json(dict(doc, results=(item for item in results))))
     assert "".join(chunks) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
     assert len(chunks) == len(list(_render_json(dict(doc, results=[])))) + len(results)
+
+
+def test_render_json_streams_a_list_item_by_item():
+    # expand's one result holds every convergent: joined into one chunk, the
+    # whole document was held as text, which raised the peak RSS of a 6000-bit
+    # expansion's JSON from 40 to 66 MB
+    doc = {"results": [{"convergents": [{"n": n, "A": [n]} for n in range(3)]}]}
+    chunks = list(_render_json(doc))
+    assert "".join(chunks) == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    assert [chunk.count('"n"') for chunk in chunks].count(1) == 3
 
 
 DATA = Path(__file__).parent / "data"
@@ -736,3 +793,44 @@ class TestReproducibility:
                             "--bits", "128", "--seed", "123", "--format", "json")
         config = json.loads(out)["config"]
         assert config["seed"] == 123 and "threads" not in config
+
+
+class _BrokenPipe(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+def _cli_process(argv, stdout) -> subprocess.Popen:
+    """`python -m ncfrac.cli argv` on the package under test, its stderr piped."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, "-m", "ncfrac.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+
+
+class TestWriteErrors:
+    """A write error on stdout exits 2 with one error line, as one on --output
+    does, and the interpreter's flush at exit adds nothing to stderr."""
+
+    def test_broken_stdout_stream_exits_2(self):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(_BrokenPipe()), contextlib.redirect_stderr(err):
+            code = main(["verify", "bounds", "--n", "1", "--format", "json"])
+        assert code == 2 and re.fullmatch(r"error: [^\n]*Broken pipe\n", err.getvalue())
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full device")
+    @pytest.mark.parametrize("argv", [["verify", "bounds", "--n", "1"],
+                                      ["constants", "--n", "1..3000", "--format", "json"]],
+                             ids=["small", "large"])
+    def test_full_device_exits_2_with_one_line(self, argv):
+        with open("/dev/full", "w") as full, _cli_process(argv, full) as process:
+            _, err = process.communicate(timeout=120)
+        assert process.returncode == 2 and re.fullmatch(r"error: [^\n]*\n", err.decode()), err
+
+    def test_closed_pipe_exits_2_with_one_line(self):
+        argv = ["verify", "bounds", "--n", "1..200", "--format", "json"]
+        with _cli_process(argv, subprocess.PIPE) as process:
+            assert len(process.stdout.read(10)) == 10
+            process.stdout.close()
+            _, err = process.communicate(timeout=120)
+        assert process.returncode == 2 and re.fullmatch(r"error: [^\n]*\n", err.decode()), err

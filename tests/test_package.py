@@ -96,9 +96,10 @@ def _reject_constant(token: str):
 
 
 def test_console_script_runs(capsys):
-    # the six commands of the CI step "Installed console script", run in-process;
-    # the step loads the constants, bounds, levy, lyapunov and expand documents as
-    # strict JSON
+    # the first six commands of the CI step "Installed console script", run
+    # in-process; the step loads the constants, bounds, levy, lyapunov and expand
+    # documents as strict JSON.  Its long expand and its run on /dev/full are
+    # tests/test_cli.py's
     scripts = _console_scripts()
     assert scripts == {"ncfrac": "ncfrac.cli:main"}
     module, _, attr = scripts["ncfrac"].partition(":")
