@@ -213,11 +213,12 @@ def _format_cell(value) -> str:
 
 def _render_csv(command: str, results) -> Iterator[str]:
     """A header row, then one row per convergent, (N, quantity) pair or verify check;
-    constants are written a record at a time, each row's cells read off the record."""
+    expand is written a convergent at a time and constants a record at a time, each
+    row's cells read off the record."""
     if command == "expand":
         header = ["n", "A", "B", "ratio", "abs_error", "log10_abs_error"]
-        groups = [[[_format_cell(conv[key]) for key in header]
-                   for result in results for conv in result["convergents"]]]
+        groups = ([[_format_cell(conv[key]) for key in header]]
+                  for result in results for conv in result["convergents"])
     elif command == "constants":
         header = ["N", "quantity", "value"]
         groups = ([(n, key, _format_cell(value)) for key, value in record.items() if key != "N"]
@@ -235,39 +236,33 @@ def _render_csv(command: str, results) -> Iterator[str]:
 
 
 def _render_plain(command: str, results) -> Iterator[str]:
-    """A block of lines per expansion, per constants record (one a piece) or one
-    line per verify check and a count of those passed."""
+    """A block of lines per expansion, written a line at a time, per constants
+    record (one a piece) or one line per verify check and a count of those passed."""
     if command == "constants":
         for record in results:
             yield f"N = {record['N']}\n" + "".join(
                 f"  {key:<28} {_format_cell(value)}\n" for key, value in record.items()
                 if key != "N")
-        return
-    lines = []
-    if command == "expand":
+    elif command == "expand":
         for result in results:
-            lines.append(f"x = {result['x']}   N = {result['N']}")
+            yield f"x = {result['x']}   N = {result['N']}\n"
             coeffs = " ".join(str(a) for a in result["coeffs"]) or "(empty)"
-            lines.append(f"digits: {coeffs}")
-            lines.append(f"terminated: {result['terminated']}")
+            yield f"digits: {coeffs}\n"
+            yield f"terminated: {result['terminated']}\n"
             if result["convergents"]:
-                lines.append(f"{'n':>4}  {'A':>24}  {'B':>24}  {'ratio':>28}  {'|x - A/B|':>12}")
-                for conv in result["convergents"]:
-                    lines.append(
-                        f"{conv['n']:>4}  {conv['A']:>24}  {conv['B']:>24}  "
-                        f"{conv['ratio']:>28}  {conv['abs_error']:>12.5e}"
-                    )
+                yield f"{'n':>4}  {'A':>24}  {'B':>24}  {'ratio':>28}  {'|x - A/B|':>12}\n"
+            for conv in result["convergents"]:
+                yield (f"{conv['n']:>4}  {conv['A']:>24}  {conv['B']:>24}  "
+                       f"{conv['ratio']:>28}  {conv['abs_error']:>12.5e}\n")
     else:
         for row in results:
             status = "PASS" if row["pass"] else "FAIL"
-            lines.append(
-                f"{status}  N={row['N']:<4} {row['quantity']:<34} "
-                f"value={_format_cell(row.get('value'))} target={_format_cell(row.get('target'))} "
-                f"deviation={_format_cell(row.get('deviation'))} tol={row['tolerance']}"
-            )
+            yield (f"{status}  N={row['N']:<4} {row['quantity']:<34} "
+                   f"value={_format_cell(row.get('value'))} "
+                   f"target={_format_cell(row.get('target'))} "
+                   f"deviation={_format_cell(row.get('deviation'))} tol={row['tolerance']}\n")
         failed = sum(1 for row in results if not row["pass"])
-        lines.append(f"{len(results) - failed}/{len(results)} checks passed")
-    yield "\n".join(lines) + "\n"
+        yield f"{len(results) - failed}/{len(results)} checks passed\n"
 
 
 #: The types json writes as arrays or objects; a generator is a list written

@@ -45,9 +45,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -366,27 +364,58 @@ def lower_bounds(N: int) -> tuple[float, float]:
     return lyap, denom
 
 
-@dataclass
 class ConstantsReport:
     """Every closed-form constant for one index N, with series diagnostics.
 
-    ``holder_means`` pairs each requested order r with its value; divergent
-    orders (r >= 1) carry math.inf, which the flat record renders as the
-    string "divergent" so no bare infinity leaks into serialized output.
-    ``order_labels`` names each order in the record's keys, as _order_label.
+    A report holds the flat record that compute_many builds for it, and each
+    field reads off that record: N, khinchin, levy_lambda, levy_L, lyapunov,
+    loch, lower_bound_lyapunov and lower_bound_denominator are its entries
+    of the same names.  ``holder_means`` pairs each requested order r with
+    its value; divergent orders (r >= 1) carry math.inf, which the record
+    holds as the string "divergent" so no bare infinity leaks into
+    serialized output.  ``order_labels`` names each order in the record's
+    keys, as _order_label; ``diagnostics`` maps each summed series to its
+    (terms, tail bound).  Two reports are equal when their orders and their
+    records are.
     """
 
-    N: int
-    khinchin: float
-    holder_means: tuple[tuple[float, float], ...]
-    order_labels: tuple[str, ...]
-    levy_lambda: float
-    levy_L: float
-    lyapunov: float
-    loch: float
-    lower_bound_lyapunov: float
-    lower_bound_denominator: float
-    diagnostics: dict[str, tuple[int, float]] = field(default_factory=dict)
+    __slots__ = ("_record", "_orders")
+
+    def __init__(self, record: dict, orders: tuple[tuple[float, str], ...]):
+        self._record, self._orders = record, orders
+
+    N = property(lambda self: self._record["N"])
+    khinchin = property(lambda self: self._record["khinchin"])
+    levy_lambda = property(lambda self: self._record["levy_lambda"])
+    levy_L = property(lambda self: self._record["levy_L"])
+    lyapunov = property(lambda self: self._record["lyapunov"])
+    loch = property(lambda self: self._record["loch"])
+    lower_bound_lyapunov = property(lambda self: self._record["lower_bound_lyapunov"])
+    lower_bound_denominator = property(lambda self: self._record["lower_bound_denominator"])
+
+    @property
+    def holder_means(self) -> tuple[tuple[float, float], ...]:
+        values = (self._record[f"holder_mean[r={label}]"] for _, label in self._orders)
+        return tuple((r, math.inf if value == "divergent" else value)
+                     for (r, _), value in zip(self._orders, values))
+
+    @property
+    def order_labels(self) -> tuple[str, ...]:
+        return tuple(label for _, label in self._orders)
+
+    @property
+    def diagnostics(self) -> dict[str, tuple[int, float]]:
+        names = ("khinchin", *(f"holder[r={label}]" for _, label in self._orders))
+        return {name: (self._record[f"{name}_terms"], self._record[f"{name}_tail_bound"])
+                for name in names if f"{name}_terms" in self._record}
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ConstantsReport):
+            return NotImplemented
+        return self._orders == other._orders and self._record == other._record
+
+    def __repr__(self) -> str:
+        return f"ConstantsReport({self._record!r})"
 
     @classmethod
     def compute(cls, N: int, rs: Sequence[float] = (-1.0, 0.5)) -> "ConstantsReport":
@@ -397,57 +426,39 @@ class ConstantsReport:
                      rs: Sequence[float] = (-1.0, 0.5)) -> Iterator["ConstantsReport"]:
         """One report per requested index, in request order, duplicates kept;
         each digit-mean series is summed once for all of them.  Every check of
-        every index runs before this returns; each report is made as it is read."""
+        every index runs before this returns; each report is made as it is read,
+        its record keyed in to_record's order by keys formed once here."""
         ns = [check_index(N) for N in ns]
         geometric = _geometric_mean_series(ns)
         series = {r: _holder_series(ns, r) for r in rs if not (r >= 1 or r == 0)}
         khinchins = {N: _checked("khinchin", N, math.exp, geometric[N][0]) for N in ns}
-        labels = tuple(_order_label(r) for r in rs)
-        names = tuple(f"holder[r={label}]" for label in labels)
+        orders = tuple((r, _order_label(r)) for r in rs)
+        holder_keys = [(f"holder_mean[r={label}]", r) for r, label in orders]
+        diagnostic_keys = [(f"{name}_terms", f"{name}_tail_bound", table) for name, table in (
+            ("khinchin", geometric),
+            *((f"holder[r={label}]", series[r]) for r, label in orders if r in series))]
+        log10 = math.log(10)
 
         def reports() -> Iterator["ConstantsReport"]:
             for N in ns:
-                khin = khinchins[N]
-                diagnostics = {"khinchin": geometric[N][1:]}
-                holder: list[tuple[float, float]] = []
-                for r, name in zip(rs, names):
-                    if r >= 1:
-                        holder.append((r, math.inf))
-                    elif r == 0:
-                        holder.append((r, khin))
-                    else:
-                        holder.append((r, series[r][N][0]))
-                        diagnostics[name] = series[r][N][1:]
-                lam = levy_lambda(N)
-                lyap = 2.0 * lam + math.log(N)
+                khin, log_n = khinchins[N], math.log(N)
+                lam = dilog_theta(1.0 / N) / math.log1p(1.0 / N)
+                lyap = 2.0 * lam + log_n
                 lyap_bound, denom_bound = lower_bounds(N)
-                yield cls(
-                    N=N, khinchin=khin, holder_means=tuple(holder), levy_lambda=lam,
-                    levy_L=lam + math.log(N), lyapunov=lyap, loch=math.log(10) / lyap,
-                    lower_bound_lyapunov=lyap_bound, lower_bound_denominator=denom_bound,
-                    order_labels=labels, diagnostics=diagnostics)
+                record = {"N": N, "khinchin": khin, "levy_lambda": lam, "levy_L": lam + log_n,
+                          "lyapunov": lyap, "loch": log10 / lyap,
+                          "lower_bound_lyapunov": lyap_bound,
+                          "lower_bound_denominator": denom_bound}
+                for key, r in holder_keys:
+                    record[key] = "divergent" if r >= 1 else khin if r == 0 else series[r][N][0]
+                for terms_key, bound_key, table in diagnostic_keys:
+                    _, record[terms_key], record[bound_key] = table[N]
+                yield cls(record, orders)
 
         return reports()
 
     def to_record(self) -> dict:
-        """Flatten to one JSON/CSV-friendly key-value record."""
-        record: dict = {key: getattr(self, key) for key in (
-            "N", "khinchin", "levy_lambda", "levy_L", "lyapunov", "loch",
-            "lower_bound_lyapunov", "lower_bound_denominator")}
-        holder_keys, diagnostic_keys = _record_keys(self.order_labels, tuple(self.diagnostics))
-        for key, (_, value) in zip(holder_keys, self.holder_means):
-            record[key] = "divergent" if math.isinf(value) else value
-        for (terms_key, bound_key), (terms, bound) in zip(diagnostic_keys,
-                                                         self.diagnostics.values()):
-            record[terms_key] = terms
-            record[bound_key] = bound
-        return record
-
-
-@lru_cache(maxsize=64)
-def _record_keys(labels: tuple[str, ...],
-                 names: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[tuple[str, str], ...]]:
-    """A record's power-mean keys and its diagnostics' (terms, tail bound) keys,
-    worked out once for all the reports of a request."""
-    return (tuple(f"holder_mean[r={label}]" for label in labels),
-            tuple((f"{name}_terms", f"{name}_tail_bound") for name in names))
+        """The flat JSON/CSV-friendly key-value record, as a copy: N, khinchin,
+        levy_lambda, levy_L, lyapunov, loch, the two lower bounds, each
+        holder_mean[r=...], then each series' _terms and _tail_bound."""
+        return dict(self._record)

@@ -386,19 +386,36 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
     is therefore the drift-free increment log(B_n) - log(B_{n-1}), which
     converges exponentially, while the plain Cesaro value and its deviation
     history stay available in extras.  Lyapunov: the orbit of a fixed-point
-    approximation sharp enough to survive `depth` exact steps is averaged
-    directly.
+    approximation p_0/q_0 sharp enough to survive `depth` exact steps is
+    averaged directly.
+
+    Its k = depth digit-N steps (p, q) -> (N*q - N*p, p) are not walked: the
+    recursion B_n = N*(B_{n-1} + B_{n-2}) above gives the pair they reach,
+    p_k = (-1)**k * (B_k*p_0 - N*B_{k-1}*q_0) and q_k = p_{k-1}.  If
+    0 < p_k < q_k, all k digits are N (Lehmer 1938, as in the batches of
+    dynamics._walk): going back from x_k = p_k/q_k in (0, 1), each
+    x_{j-1} = N/(N + x_j) lies in (N/(N + 1), 1), whose digit is N.
+    Conversely an all-N orbit ends on this pair with p_k > 0, since digit N
+    leaves no remainder only at x = 1.  So the check fails exactly where an
+    exact walk finds another digit, and q_k is the walk's own last numerator.
+    fixed_point rounds down, and the error grows about N-fold a step with
+    alternating sign, so at odd k it ends towards x = 1, about 1/N away, and
+    needs about (k + 1)*log10(N) digits.  Where the first precision,
+    k*levy_L(N)/log(10) + 60, falls short of that (N = 10**67 at k = 11),
+    twice as many digits are used, which exceed it; extras["precision_digits"]
+    reports the digits used.
     """
     check_index(N)
     if depth < 10:
         raise ValueError(f"depth must be >= 10, got {depth}")
     lyap_bound, denom_bound = constants.lower_bounds(N)
 
-    # B_n = N * (B_{n-1} + B_{n-2}) from B_{-1} = 0, B_0 = 1; log B_n only where read
+    # B_n = N * (B_{n-1} + B_{n-2}) from B_{-1} = 0, B_0 = 1, ending on B_k, B_{k-1}
+    # and B_{k-2}; log B_n only where read
     logged = {*range(20, depth + 1, 20), depth - 1, depth}
-    log_b, b2, b1 = {}, 0, 1
+    log_b, b3, b2, b1 = {}, 0, 0, 1
     for n in range(1, depth + 1):
-        b2, b1 = b1, N * (b1 + b2)
+        b3, b2, b1 = b2, b1, N * (b1 + b2)
         if n in logged:
             log_b[n] = math.log(b1)
     cesaro_history = {
@@ -419,12 +436,18 @@ def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:
     )
 
     # enough digits that `depth` steps cannot burn through the approximation
-    digits = int(depth * constants.levy_L(N) / math.log(10)) + 60
-    z = fixed_point(N, N, digits=digits)
-    coeffs, _, q = _walk(z.numerator, z.denominator, N, depth)
-    if coeffs != [N] * depth:
+    first = int(depth * constants.levy_L(N) / math.log(10)) + 60
+    sign = -1 if depth % 2 else 1
+    for digits in (first, 2 * first):
+        z = fixed_point(N, N, digits=digits)
+        p0, q0 = z.numerator, z.denominator
+        p = sign * (b1 * p0 - N * b2 * q0)
+        q = sign * (N * b3 * q0 - b2 * p0)
+        if 0 < p < q:
+            break
+    else:
         raise RuntimeError("fixed-point approximation ran out of precision")
-    log_ratio = math.log(q) - math.log(z.denominator)
+    log_ratio = math.log(q) - math.log(q0)
     lyap_report = EstimateReport(
         "lyapunov[const-digit]",
         _lyapunov_rate(depth, log_ratio, N),

@@ -394,6 +394,44 @@ class TestConstantsReport:
         ):
             assert key in record
 
+    def test_record_is_the_flattened_fields(self):
+        # the record, key order included, against a flattening of the report's fields
+        rs = (-1.0, -0.5, 0.0, 0.5, 0.9, 1.0, 2.0)
+        reports = list(ConstantsReport.compute_many(range(1, 60), rs=rs))
+        assert [report.N for report in reports] == list(range(1, 60))
+        for report in reports:
+            record = {key: getattr(report, key) for key in (
+                "N", "khinchin", "levy_lambda", "levy_L", "lyapunov", "loch",
+                "lower_bound_lyapunov", "lower_bound_denominator")}
+            assert report.order_labels == ("-1", "-0.5", "0", "0.5", "0.9", "1", "2")
+            for label, (r, value) in zip(report.order_labels, report.holder_means):
+                assert float(label) == r
+                record[f"holder_mean[r={label}]"] = "divergent" if math.isinf(value) else value
+            assert list(report.diagnostics) == [
+                "khinchin", "holder[r=-1]", "holder[r=-0.5]", "holder[r=0.5]", "holder[r=0.9]"]
+            for name, (terms, bound) in report.diagnostics.items():
+                record[f"{name}_terms"] = terms
+                record[f"{name}_tail_bound"] = bound
+            assert list(report.to_record().items()) == list(record.items())
+            assert report.to_record() is not report.to_record()
+
+    def test_fields_hold_their_formulas(self):
+        # indices over 2048 apart: each is its own anchor, as holder_mean sums it
+        for report in ConstantsReport.compute_many([1, 3000, 10**6], rs=(0.0, 0.5, 1.0)):
+            N = report.N
+            assert report.levy_lambda == levy_lambda(N)
+            assert report.levy_L == levy_L(N)
+            assert (report.lower_bound_lyapunov, report.lower_bound_denominator) == (
+                lower_bounds(N))
+            assert report.holder_means == ((0.0, report.khinchin),
+                                           (0.5, holder_mean(N, 0.5)), (1.0, math.inf))
+
+    def test_equality_reads_orders_and_values(self):
+        assert ConstantsReport.compute(2) == ConstantsReport.compute(2)
+        assert ConstantsReport.compute(2) != ConstantsReport.compute(3)
+        assert ConstantsReport.compute(2, rs=(0.5, -1.0)) != ConstantsReport.compute(2)
+        assert ConstantsReport.compute(2, rs=(0.0,)) != ConstantsReport.compute(2, rs=(-0.0,))
+
 
 @functools.lru_cache(maxsize=None)  # the oracle tests share many (N, r) pairs
 def _mpmath_digit_mean(mpmath, N, r):

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncfrac import (
     SampleConfig,
@@ -35,7 +37,7 @@ from ncfrac import (
     shadow_divergence_step,
 )
 from ncfrac import ergodic
-from ncfrac.dynamics import _walk
+from ncfrac.dynamics import _walk, fixed_point
 
 ORBIT_GOLDEN = Path(__file__).parent / "data" / "orbit_estimates_golden.json"
 CFG = SampleConfig(N=1, trials=50, denominator_bits=256, seed=11)
@@ -458,6 +460,88 @@ class TestBoundAchievement:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             bound_achievement(1, depth=5)
+
+
+def _walked_lyapunov_record(N: int, depth: int) -> dict:
+    """The Lyapunov report of bound_achievement as an exact walk checks it: the
+    fixed-point approximation's orbit walked `depth` steps and its digits
+    compared, at the first precision and, where that fails, at twice it."""
+    first = int(depth * levy_L(N) / math.log(10)) + 60
+    for digits in (first, 2 * first):
+        z = fixed_point(N, N, digits=digits)
+        coeffs, _, q = _walk(z.numerator, z.denominator, N, depth)
+        if coeffs == [N] * depth:
+            break
+    else:
+        raise RuntimeError("fixed-point approximation ran out of precision")
+    log_ratio = math.log(q) - math.log(z.denominator)
+    return ergodic.EstimateReport(
+        "lyapunov[const-digit]", (depth * math.log(N) - 2.0 * log_ratio) / depth,
+        lower_bounds(N)[0], trials=1, terms=depth,
+        extras={"precision_digits": digits}).to_record()
+
+
+bound_indices = st.one_of(
+    st.integers(min_value=1, max_value=60),
+    st.builds(lambda k, d: 2**k + d, st.integers(min_value=2, max_value=500),
+              st.integers(min_value=-1, max_value=1)),
+    st.integers(min_value=1, max_value=10**150),
+)
+
+
+class TestBoundCertificate:
+    """bound_achievement certifies the constant-digit orbit from B_n, walking no step."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(bound_indices, st.integers(min_value=10, max_value=400))
+    @example(10**67, 11)
+    @example(10**100, 13)
+    @example(10**150, 201)
+    @example(1, 400)
+    @example(2**64, 399)
+    def test_matches_the_walk(self, N, depth):
+        try:
+            expected = _walked_lyapunov_record(N, depth)
+        except RuntimeError as exc:
+            with pytest.raises(RuntimeError, match=str(exc)):
+                bound_achievement(N, depth)
+            return
+        _, lyap_report = bound_achievement(N, depth)
+        assert lyap_report.to_record() == expected
+
+    def test_walks_no_orbit(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("bound_achievement walked an orbit")
+
+        monkeypatch.setattr(ergodic, "_walk", refuse)
+        for N in (1, 2, 1000):
+            assert bound_achievement(N, 200)[1].abs_deviation < 1e-3
+
+    @pytest.mark.parametrize("N, depth", [(10**67, 11), (10**100, 13), (10**150, 201)],
+                             ids=["1e67-11", "1e100-13", "1e150-201"])
+    def test_odd_depth_at_large_N_doubles_its_precision(self, N, depth):
+        # the first precision's margin is short of the error's growth towards x = 1
+        first = int(depth * levy_L(N) / math.log(10)) + 60
+        z = fixed_point(N, N, digits=first)
+        assert _walk(z.numerator, z.denominator, N, depth)[0] != [N] * depth
+        denom_report, lyap_report = bound_achievement(N, depth)
+        assert lyap_report.extras["precision_digits"] == 2 * first
+        assert denom_report.abs_deviation < 1e-3
+        assert lyap_report.abs_deviation < 1e-3
+
+    def test_first_precision_kept_where_it_suffices(self):
+        for N in (1, 2, 1000, 10**67):
+            _, lyap_report = bound_achievement(N, 200)
+            assert lyap_report.extras["precision_digits"] == int(
+                200 * levy_L(N) / math.log(10)) + 60
+
+    def test_refuses_a_coarse_approximation(self, monkeypatch):
+        # 5 digits cannot survive 200 steps: the certificate fails at both precisions
+        monkeypatch.setattr(ergodic, "fixed_point",
+                            lambda N, p, digits: fixed_point(N, p, digits=5))
+        for N in (1, 7):
+            with pytest.raises(RuntimeError, match="ran out of precision"):
+                bound_achievement(N, 200)
 
 
 class TestFixedPointOrbits:

@@ -96,7 +96,7 @@ def _reject_constant(token: str):
 
 
 def test_console_script_runs(capsys):
-    # the first six commands of the CI step "Installed console script", run
+    # the first eight commands of the CI step "Installed console script", run
     # in-process; the step loads the constants, bounds, levy, lyapunov and expand
     # documents as strict JSON.  Its long expand and its run on /dev/full are
     # tests/test_cli.py's
@@ -107,8 +107,9 @@ def test_console_script_runs(capsys):
     assert main(["constants", "--n", "1..3", "--format", "json"]) == 0
     records = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
     assert [record["N"] for record in records] == [1, 2, 3]
-    assert main(["verify", "bounds", "--n", "1", "--format", "json"]) == 0
+    assert main(["verify", "bounds", "--n", "1..3,1000", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
+    assert [row["N"] for row in rows] == [1] * 3 + [2] * 3 + [3] * 3 + [1000] * 3
     assert all(row["pass"] for row in rows)
     assert main(["verify", "levy", "--n", "1", "--format", "json"]) == 0
     rows = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
@@ -123,3 +124,7 @@ def test_console_script_runs(capsys):
     assert main(["expand", "2/3", "--n", "1", "--format", "json"]) == 0
     (result,) = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["results"]
     assert result["coeffs"] == [1, 2]
+    assert main(["expand", "2/3", "--n", "2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "n,A,B,ratio,abs_error,log10_abs_error"
+    assert main(["expand", "2/3", "--n", "2", "--format", "plain"]) == 0
+    assert capsys.readouterr().out.startswith("x = 2/3   N = 2\ndigits: 3\n")
