@@ -22,12 +22,12 @@ import os
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from types import GeneratorType
 from typing import Callable, Iterator, Optional
 
 from . import __version__, constants, ergodic, ulam
-from .convergents import convergent_sequence
+from .convergents import _convergents
 from .dynamics import DEFAULT_MAX_TERMS, expand
 
 #: Per-suite pass tolerances (relative unless noted); fixed, not flags.
@@ -91,35 +91,36 @@ def _fraction_log10(value: Fraction) -> Optional[float]:
 
 
 # --------------------------------------------------------------------------
-# subcommands: each returns (results, exit_code); constants' results are a
-# generator of records, every check already run, each record made as it is written
+# subcommands: each returns (results, exit_code), every check already run;
+# constants' records and expand's convergents are generators, each item made
+# as it is written
+
+
+def _convergent_rows(x: Fraction, coeffs: tuple[int, ...], N: int) -> Iterator[dict]:
+    """One row per convergent 1..len(coeffs) of x's checked digits, made as it is read."""
+    for conv in islice(_convergents(coeffs, N), 1, None):
+        ratio = conv.ratio()
+        err = abs(x - ratio)
+        yield {
+            "n": conv.n,
+            "A": conv.A,
+            "B": conv.B,
+            "ratio": f"{ratio.numerator}/{ratio.denominator}",
+            "abs_error": float(err),
+            "log10_abs_error": _fraction_log10(err),
+        }
 
 
 def _cmd_expand(args) -> tuple[list[dict], int]:
     x = _parse_fraction(args.x)
     expansion = expand(x, args.n, args.max_terms)
-    result: dict = {
+    result = {
         "x": args.x,
         "N": args.n,
         "coeffs": list(expansion.coeffs),
         "terminated": expansion.terminated,
-        "convergents": [],
+        "convergents": _convergent_rows(x, expansion.coeffs, args.n),
     }
-    if expansion.coeffs:
-        trace = convergent_sequence(expansion.coeffs, args.n)
-        for conv in trace.convergents[1:]:
-            ratio = conv.ratio()
-            err = abs(x - ratio)
-            result["convergents"].append(
-                {
-                    "n": conv.n,
-                    "A": conv.A,
-                    "B": conv.B,
-                    "ratio": f"{ratio.numerator}/{ratio.denominator}",
-                    "abs_error": float(err),
-                    "log10_abs_error": _fraction_log10(err),
-                }
-            )
     return [result], 0
 
 
@@ -212,9 +213,9 @@ def _format_cell(value) -> str:
 
 
 def _render_csv(command: str, results) -> Iterator[str]:
-    """A header row, then one row per convergent, (N, quantity) pair or verify check;
-    expand is written a convergent at a time and constants a record at a time, each
-    row's cells read off the record."""
+    """A header row, then one row per convergent, (N, quantity) pair or verify check,
+    written a convergent, constants record or verify check at a time, each row's
+    cells read off its record."""
     if command == "expand":
         header = ["n", "A", "B", "ratio", "abs_error", "log10_abs_error"]
         groups = ([[_format_cell(conv[key]) for key in header]]
@@ -225,7 +226,7 @@ def _render_csv(command: str, results) -> Iterator[str]:
                   for record in results for n in [_format_cell(record["N"])])
     else:  # verify
         header = ["suite", "N", "quantity", "value", "target", "deviation", "tolerance", "pass"]
-        groups = [[[_format_cell(row[key]) for key in header] for row in results]]
+        groups = ([[_format_cell(row[key]) for key in header]] for row in results)
     buffer = io.StringIO()
     writer = csv.writer(buffer)
     for rows in chain([[header]], groups):
@@ -249,7 +250,7 @@ def _render_plain(command: str, results) -> Iterator[str]:
             coeffs = " ".join(str(a) for a in result["coeffs"]) or "(empty)"
             yield f"digits: {coeffs}\n"
             yield f"terminated: {result['terminated']}\n"
-            if result["convergents"]:
+            if result["coeffs"]:
                 yield f"{'n':>4}  {'A':>24}  {'B':>24}  {'ratio':>28}  {'|x - A/B|':>12}\n"
             for conv in result["convergents"]:
                 yield (f"{conv['n']:>4}  {conv['A']:>24}  {conv['B']:>24}  "

@@ -4,8 +4,9 @@ The three-term recursion A_n = a_n*A_{n-1} + N*A_{n-2} (same for B) is
 seeded with A_0 = 0, B_0 = 1, A_1 = N, B_1 = a_1.  Those seeds are forced
 by the one- and two-digit values N/a_1 and N*a_2/(a_1*a_2 + N) together
 with the cross-product identity A_{n-1}*B_n - A_n*B_{n-1} = (-N)**n, which
-the seeds satisfy at n = 1.  Convergents are kept unreduced; reduction
-happens only in :func:`ncfrac.dynamics.evaluate`.
+the seeds satisfy at n = 1.  :func:`_convergents` is the recursion's one
+copy.  Convergents are kept unreduced; only :meth:`Convergent.ratio` and
+:func:`ncfrac.dynamics.evaluate` reduce.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .dynamics import RationalLike, check_digits, check_index, expand
 
@@ -59,6 +61,16 @@ class ConvergentTrace:
         return self.convergents[n].ratio()
 
 
+def _convergents(coeffs: Sequence[int], N: int) -> Iterator[Convergent]:
+    """Convergents 0..len(coeffs) of digits already checked, one at a time."""
+    A2, A1, B2, B1 = 1, 0, 0, 1  # (A_{-1}, B_{-1}) = (1, 0) gives A_1 = N, B_1 = a_1
+    yield Convergent(0, A1, B1)
+    for n, a in enumerate(coeffs, 1):
+        A2, A1 = A1, a * A1 + N * A2
+        B2, B1 = B1, a * B1 + N * B2
+        yield Convergent(n, A1, B1)
+
+
 def convergent_sequence(coeffs: Sequence[int], N: int) -> ConvergentTrace:
     """Run the three-term recursion over admissible digits (all >= N).
 
@@ -70,13 +82,7 @@ def convergent_sequence(coeffs: Sequence[int], N: int) -> ConvergentTrace:
     coeffs = check_digits(coeffs, N)
     if not coeffs:
         raise ValueError("need at least one digit")
-    A2, A1, B2, B1 = 1, 0, 0, 1  # (A_{-1}, B_{-1}) = (1, 0) gives A_1 = N, B_1 = a_1
-    out = [Convergent(0, A1, B1)]
-    for n, a in enumerate(coeffs, 1):
-        A2, A1 = A1, a * A1 + N * A2
-        B2, B1 = B1, a * B1 + N * B2
-        out.append(Convergent(n, A1, B1))
-    return ConvergentTrace(N=N, coeffs=coeffs, convergents=tuple(out))
+    return ConvergentTrace(N=N, coeffs=coeffs, convergents=tuple(_convergents(coeffs, N)))
 
 
 def determinant_check(trace: ConvergentTrace) -> bool:
@@ -106,9 +112,8 @@ def approximation_rate(x: RationalLike, N: int, n: int) -> float:
         raise ValueError(
             f"expansion of {x} terminates after {len(exp)} digits, before depth {n}"
         )
-    trace = convergent_sequence(exp.coeffs[:n], N)
+    conv = next(islice(_convergents(exp.coeffs, N), n, None))
     x = Fraction(x)
-    conv = trace.final
     num = abs(x.numerator * conv.B - x.denominator * conv.A)
     den = x.denominator * conv.B
     # big-int logs: math.log takes arbitrary-precision integers exactly
@@ -116,11 +121,13 @@ def approximation_rate(x: RationalLike, N: int, n: int) -> float:
 
 
 def error_bounds_check(trace: ConvergentTrace, x: RationalLike) -> bool:
-    """Exact sandwich N**(n+1)/(4*B_{n+1}) < |B_n*x - A_n| <= N**n/B_n.
+    """Exact sandwich N**(n+1)/(4*B_{n+1}) < |B_n*x - A_n| <= N**n/B_n, in integers.
 
-    Checks every n with both sides available (1 <= n < depth); at the final
-    depth of a terminated expansion the residual is exactly zero, so only
-    the upper bound applies and the strict lower bound is skipped.
+    With x = p/q and gap = |B_n*p - A_n*q|, checks gap*B_n <= N**n*q at
+    every 1 <= n <= depth and N**(n+1)*q < 4*B_{n+1}*gap at every n < depth;
+    at the final depth of a terminated expansion the residual is exactly
+    zero, so only the upper bound applies there.  A trace with some
+    B_n <= 0 (n >= 1) fails.
     x must be the point whose expansion produced the trace.
     """
     x = Fraction(x)
@@ -132,12 +139,11 @@ def error_bounds_check(trace: ConvergentTrace, x: RationalLike) -> bool:
     npow = N
     for n in range(1, trace.depth + 1):
         conv = trace.convergents[n]
-        residual = Fraction(abs(conv.B * p - conv.A * q), q)
-        if residual > Fraction(npow, conv.B):
+        gap = abs(conv.B * p - conv.A * q)
+        # a B_n <= 0 would flip the cross-multiplied bounds; B_{n+1} is caught at n + 1
+        if conv.B <= 0 or gap * conv.B > npow * q:
             return False
-        if n < trace.depth:
-            nxt = trace.convergents[n + 1]
-            if not Fraction(npow * N, 4 * nxt.B) < residual:
-                return False
+        if n < trace.depth and not npow * N * q < 4 * trace.convergents[n + 1].B * gap:
+            return False
         npow *= N
     return True

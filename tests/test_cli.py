@@ -375,26 +375,36 @@ def test_constants_writes_one_record_at_a_time(fmt):
     assert code == 0 and peak < 5 << 20, peak
 
 
-@pytest.mark.parametrize("fmt", ["csv", "plain"])
+@pytest.mark.parametrize("fmt", ["json", "csv", "plain"])
 def test_expand_writes_one_convergent_at_a_time(fmt):
-    # csv and plain hold no more than json, which holds the expansion itself: a
-    # 3000-bit fraction's table held whole took 25.3 (csv) and 12.5 MiB (plain)
-    # against 3.3 MiB in json
+    # each convergent is made, rendered and written before the next, so the
+    # traced peak of a 3000-bit fraction's 1,700 or so convergents is about one
+    # row; holding every row took 3.2 MiB in each format, and the tables held
+    # whole 25.3 (csv) and 12.5 MiB (plain)
     rng = random.Random(1)
     q = rng.getrandbits(3000) | 1 << 2999
     x = f"{rng.randrange(1, q)}/{q}"
-    peaks = {}
     with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-        for form in ("json", fmt):
-            assert main(["expand", "2/3", "--format", form]) == 0  # one-time imports
-            tracemalloc.start()
-            try:
-                code = main(["expand", x, "--format", form])
-                peaks[form] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert code == 0
-    assert peaks[fmt] < 1.25 * peaks["json"], peaks
+        assert main(["expand", "2/3", "--format", fmt]) == 0  # one-time imports
+        tracemalloc.start()
+        try:
+            code = main(["expand", x, "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and peak < 1 << 20, peak
+
+
+def test_verify_csv_writes_one_row_at_a_time():
+    # a header piece, then one piece per check, joined as the whole table was
+    rows = [cli._row("bounds", n, "bound-identity", 0.5 * n, 0.0, 1e-12, 0.5 * n)
+            for n in range(1, 4)]
+    pieces = list(cli._render_csv("verify", rows))
+    assert len(pieces) == 1 + len(rows)
+    assert "".join(pieces) == (
+        "suite,N,quantity,value,target,deviation,tolerance,pass\r\n"
+        + "".join(f"bounds,{n},bound-identity,{0.5 * n!r},0.0,{0.5 * n!r},1e-12,false\r\n"
+                  for n in range(1, 4)))
 
 
 class TestVerify:

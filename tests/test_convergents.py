@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncfrac import (
@@ -154,6 +154,66 @@ class TestErrorSandwich:
         trace = convergent_sequence(expand(Fraction(2, 3), 1).coeffs, 1)
         with pytest.raises(ValueError):
             error_bounds_check(trace, Fraction(3, 7))
+
+
+def _fraction_error_bounds_check(trace, x):
+    # the sandwich as first written, in Fractions: the reference for the integer form
+    x = Fraction(x)
+    N = trace.N
+    p, q = x.numerator, x.denominator
+    npow = N
+    for n in range(1, trace.depth + 1):
+        conv = trace.convergents[n]
+        residual = Fraction(abs(conv.B * p - conv.A * q), q)
+        if residual > Fraction(npow, conv.B):
+            return False
+        if n < trace.depth:
+            nxt = trace.convergents[n + 1]
+            if not Fraction(npow * N, 4 * nxt.B) < residual:
+                return False
+        npow *= N
+    return True
+
+
+# a convergent's A or B replaced by 0, a negative value, +-1, a random value or
+# a neighbour of its own; None leaves the trace genuine
+_tampering = st.one_of(
+    st.none(),
+    st.tuples(st.integers(min_value=0, max_value=30), st.sampled_from("AB"),
+              st.one_of(st.sampled_from([0, 1, -1]),
+                        st.integers(max_value=-1),
+                        st.integers(min_value=-2**80, max_value=2**80),
+                        st.sampled_from(["+1", "-1"]))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=2, max_value=2**64),
+       st.integers(min_value=1, max_value=2**64), st.integers(min_value=1, max_value=30),
+       _tampering)
+@example(1, 13, 5, 30, (1, "B", 0))
+@example(1, 13, 5, 30, (1, "B", -1))
+@example(1, 13, 5, 30, (2, "B", 0))
+@example(1, 3, 2, 30, (2, "A", "+1"))
+def test_error_bounds_match_the_fraction_form(N, q, p, max_terms, tampering):
+    # the integer statement agrees with the Fraction one on genuine traces and
+    # on tampered ones, where the Fraction form's division by B = 0 counts as False
+    x = Fraction(p % q or 1, q)
+    trace = convergent_sequence(expand(x, N, max_terms=max_terms).coeffs, N)
+    if tampering is not None:
+        n, field, value = tampering
+        n %= trace.depth + 1
+        conv = trace.convergents[n]
+        if isinstance(value, str):
+            value = getattr(conv, field) + int(value)
+        doctored = list(trace.convergents)
+        doctored[n] = Convergent(n, **{"A": conv.A, "B": conv.B, field: value})
+        trace = ConvergentTrace(N=N, coeffs=trace.coeffs, convergents=tuple(doctored))
+    try:
+        expected = _fraction_error_bounds_check(trace, x)
+    except ZeroDivisionError:
+        expected = False
+    assert error_bounds_check(trace, x) == expected
 
 
 class TestApproximationRate:

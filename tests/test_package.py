@@ -96,10 +96,10 @@ def _reject_constant(token: str):
 
 
 def test_console_script_runs(capsys):
-    # the first eight commands of the CI step "Installed console script", run
+    # the first nine commands of the CI step "Installed console script", run
     # in-process; the step loads the constants, bounds, levy, lyapunov and expand
-    # documents as strict JSON.  Its long expand and its run on /dev/full are
-    # tests/test_cli.py's
+    # documents as strict JSON.  Its expand past int()'s digit limit and its run
+    # on /dev/full are tests/test_cli.py's
     scripts = _console_scripts()
     assert scripts == {"ncfrac": "ncfrac.cli:main"}
     module, _, attr = scripts["ncfrac"].partition(":")
@@ -128,3 +128,6 @@ def test_console_script_runs(capsys):
     assert capsys.readouterr().out.splitlines()[0] == "n,A,B,ratio,abs_error,log10_abs_error"
     assert main(["expand", "2/3", "--n", "2", "--format", "plain"]) == 0
     assert capsys.readouterr().out.startswith("x = 2/3   N = 2\ndigits: 3\n")
+    # 1,646 convergents, each written as it is made
+    assert main(["expand", f"{3**1800}/{2**2900}", "--n", "1", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 1646
