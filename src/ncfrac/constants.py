@@ -45,6 +45,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from array import array
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -232,11 +234,22 @@ def _suffix_series(ns, offset: int, summand, tail):
         stop = firsts[-1]
 
 
-def _geometric_mean_series(ns) -> dict[int, tuple[float, int, float]]:
-    """log of the digit geometric mean; {N: (value, terms used, tail bound)}."""
-    return {N: (math.log(N) + mean, terms, bound) for N, mean, terms, bound in _suffix_series(
+def _columns(rows) -> tuple[array, array, array]:
+    """(value, terms, tail bound) rows as three columns: doubles, int64s, doubles."""
+    values, terms, bounds = array("d"), array("q"), array("d")
+    for value, count, bound in rows:
+        values.append(value)
+        terms.append(count)
+        bounds.append(bound)
+    return values, terms, bounds
+
+
+def _geometric_mean_series(ns) -> tuple[array, array, array]:
+    """log of the digit geometric mean, as _columns of (value, terms used, tail
+    bound), one entry per distinct N in walk order, the largest N first."""
+    return _columns((math.log(N) + mean, terms, bound) for N, mean, terms, bound in _suffix_series(
         ns, 1, lambda k: np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k),
-        [(s - 1, c) for s, c in _GEOMEAN_TAIL])}
+        [(s - 1, c) for s, c in _GEOMEAN_TAIL]))
 
 
 def khinchin(N: int) -> float:
@@ -244,7 +257,7 @@ def khinchin(N: int) -> float:
 
     Its logarithm's series is cut below its rounding (module docstring).
     """
-    return ConstantsReport.compute(N, ()).khinchin
+    return _checked("khinchin", N, math.exp, _geometric_mean_series([check_index(N)])[0][0])
 
 
 def _order_label(r: float) -> str:
@@ -264,8 +277,10 @@ def _check_order(N: int, r: float) -> None:
                          "r = 0 is the geometric mean")
 
 
-def _holder_series(ns, r: float) -> dict[int, tuple[float, int, float]]:
-    """Power mean of order r; {N: (value, terms, tail bound of the mean of digit**r)}."""
+def _holder_series(ns, r: float) -> tuple[array, array, array]:
+    """Power mean of order r, as _columns of (value, terms, tail bound of the mean
+    of digit**r), one entry per distinct N in walk order, the largest N first; each
+    value's overflow check runs in that order."""
     name = f"holder_mean[r={_order_label(r)}]"
     if ns:
         _check_order(ns[0], r)  # N-independent; N only names an index in the message
@@ -277,10 +292,10 @@ def _holder_series(ns, r: float) -> dict[int, tuple[float, int, float]]:
     # the exponent 1/r as fl(1/r) plus its rounding, formed in rationals
     q = 1.0 / r
     d = float(1 / Fraction(r) - Fraction(q))
-    return {N: (_checked(name, N, _root, mean, q, d), terms, bound)
-            for N, mean, terms, bound in _suffix_series(
-                ns, 0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
-                [((s - 1) - r, c) for s, c in _LOG1P_BRANCH_TAIL])}
+    return _columns((_checked(name, N, _root, mean, q, d), terms, bound)
+                    for N, mean, terms, bound in _suffix_series(
+                        ns, 0, lambda k: k**r * np.log1p(1.0 / k / (k + 2.0)),
+                        [((s - 1) - r, c) for s, c in _LOG1P_BRANCH_TAIL]))
 
 
 def holder_mean(N: int, r: float) -> float:
@@ -296,7 +311,7 @@ def holder_mean(N: int, r: float) -> float:
     N = check_index(N)
     if r >= 1:
         return math.inf
-    return khinchin(N) if r == 0 else _holder_series([N], r)[N][0]
+    return khinchin(N) if r == 0 else _holder_series([N], r)[0][0]
 
 
 def dilog_theta(x: float) -> float:
@@ -364,6 +379,7 @@ def lower_bounds(N: int) -> tuple[float, float]:
     return lyap, denom
 
 
+@dataclass(slots=True)
 class ConstantsReport:
     """Every closed-form constant for one index N, with series diagnostics.
 
@@ -379,10 +395,8 @@ class ConstantsReport:
     records are.
     """
 
-    __slots__ = ("_record", "_orders")
-
-    def __init__(self, record: dict, orders: tuple[tuple[float, str], ...]):
-        self._record, self._orders = record, orders
+    _record: dict
+    _orders: tuple[tuple[float, str], ...]
 
     N = property(lambda self: self._record["N"])
     khinchin = property(lambda self: self._record["khinchin"])
@@ -409,14 +423,6 @@ class ConstantsReport:
         return {name: (self._record[f"{name}_terms"], self._record[f"{name}_tail_bound"])
                 for name in names if f"{name}_terms" in self._record}
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ConstantsReport):
-            return NotImplemented
-        return self._orders == other._orders and self._record == other._record
-
-    def __repr__(self) -> str:
-        return f"ConstantsReport({self._record!r})"
-
     @classmethod
     def compute(cls, N: int, rs: Sequence[float] = (-1.0, 0.5)) -> "ConstantsReport":
         return next(cls.compute_many([N], rs))
@@ -431,7 +437,9 @@ class ConstantsReport:
         ns = [check_index(N) for N in ns]
         geometric = _geometric_mean_series(ns)
         series = {r: _holder_series(ns, r) for r in rs if not (r >= 1 or r == 0)}
-        khinchins = {N: _checked("khinchin", N, math.exp, geometric[N][0]) for N in ns}
+        # each N's place in the series columns, whose walk takes the distinct N largest first
+        position = {N: i for i, N in enumerate(sorted(set(ns), reverse=True))}
+        khinchins = [_checked("khinchin", N, math.exp, geometric[0][position[N]]) for N in ns]
         orders = tuple((r, _order_label(r)) for r in rs)
         holder_keys = [(f"holder_mean[r={label}]", r) for r, label in orders]
         diagnostic_keys = [(f"{name}_terms", f"{name}_tail_bound", table) for name, table in (
@@ -440,9 +448,9 @@ class ConstantsReport:
         log10 = math.log(10)
 
         def reports() -> Iterator["ConstantsReport"]:
-            for N in ns:
-                khin, log_n = khinchins[N], math.log(N)
-                lam = dilog_theta(1.0 / N) / math.log1p(1.0 / N)
+            for N, khin in zip(ns, khinchins):
+                i, log_n = position[N], math.log(N)
+                lam = levy_lambda(N)
                 lyap = 2.0 * lam + log_n
                 lyap_bound, denom_bound = lower_bounds(N)
                 record = {"N": N, "khinchin": khin, "levy_lambda": lam, "levy_L": lam + log_n,
@@ -450,9 +458,9 @@ class ConstantsReport:
                           "lower_bound_lyapunov": lyap_bound,
                           "lower_bound_denominator": denom_bound}
                 for key, r in holder_keys:
-                    record[key] = "divergent" if r >= 1 else khin if r == 0 else series[r][N][0]
-                for terms_key, bound_key, table in diagnostic_keys:
-                    _, record[terms_key], record[bound_key] = table[N]
+                    record[key] = "divergent" if r >= 1 else khin if r == 0 else series[r][0][i]
+                for terms_key, bound_key, (_, terms, bounds) in diagnostic_keys:
+                    record[terms_key], record[bound_key] = terms[i], bounds[i]
                 yield cls(record, orders)
 
         return reports()

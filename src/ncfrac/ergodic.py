@@ -67,12 +67,10 @@ class SampleConfig:
 
     def __post_init__(self) -> None:
         check_index(self.N)
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.denominator_bits < 64:
-            raise ValueError(f"denominator_bits must be >= 64, got {self.denominator_bits}")
-        if self.max_terms < 1:
-            raise ValueError(f"max_terms must be >= 1, got {self.max_terms}")
+        for name, least in (("trials", 1), ("denominator_bits", 64), ("max_terms", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or operator.index(value) < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
         if isinstance(self.seed, bool) or operator.index(self.seed) < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed}")
 

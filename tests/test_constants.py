@@ -19,6 +19,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,17 @@ class TestKhinchinMean:
 
     def test_scales_like_e_times_n(self):
         assert khinchin(1000) / 1000 == pytest.approx(math.e, rel=2e-3)
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 2048, 10**6, 10**15, 10**300])
+    def test_own_series_gives_the_reports_value(self, N):
+        # khinchin sums its single-index series itself; a report reads the same float
+        assert khinchin(N).hex() == ConstantsReport.compute(N, ()).khinchin.hex()
+
+    def test_overflow_is_named(self):
+        N = 2**1024 - 2**971
+        with pytest.raises(OverflowError) as error:
+            khinchin(N)
+        assert str(error.value) == f"khinchin at N = {N} is beyond the float range"
 
 
 class TestHolderMean:
@@ -431,6 +443,12 @@ class TestConstantsReport:
         assert ConstantsReport.compute(2) != ConstantsReport.compute(3)
         assert ConstantsReport.compute(2, rs=(0.5, -1.0)) != ConstantsReport.compute(2)
         assert ConstantsReport.compute(2, rs=(0.0,)) != ConstantsReport.compute(2, rs=(-0.0,))
+        assert ConstantsReport.compute(2) != object()
+
+    def test_repr_shows_the_record(self):
+        report = ConstantsReport.compute(2, rs=(0.5,))
+        assert repr(report) == (f"ConstantsReport(_record={report.to_record()!r}, "
+                                "_orders=((0.5, '0.5'),))")
 
 
 @functools.lru_cache(maxsize=None)  # the oracle tests share many (N, r) pairs
@@ -525,6 +543,31 @@ class TestConstantsBatch:
         records = json.loads(capsys.readouterr().out)["results"]
         assert [record["N"] for record in records] == [5, 1, 5]
         assert records[0] == records[2]
+
+    def test_summed_request_is_held_in_columns(self):
+        # each of the five series keeps 24 bytes an index (a double, an int64 and
+        # a double), 0.34 MiB here; per-index tuples would hold about 3 MiB
+        tracemalloc.start()
+        try:
+            reports = ConstantsReport.compute_many(range(1, 3001), rs=BATCH_RS)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 1.5 * 2**20
+        assert next(reports).N == 1
+
+    @pytest.mark.parametrize("ns, rs, name, N", [
+        ([7 * 10**307, 10**308], (), "khinchin", 7 * 10**307),
+        ([10**308, 7 * 10**307], (), "khinchin", 10**308),
+        ([10**308, 10**300, 7 * 10**307], (0.5,), "holder_mean[r=0.5]", 10**308),
+        ([7 * 10**307, 10**308], (0.5,), "holder_mean[r=0.5]", 10**308),
+    ])
+    def test_first_failing_check_is_named(self, ns, rs, name, N):
+        # the power means' root checks run first, in walk order (largest N first),
+        # then the khinchin checks in request order
+        with pytest.raises(OverflowError) as error:
+            ConstantsReport.compute_many(ns, rs)
+        assert str(error.value) == f"{name} at N = {N} is beyond the float range"
 
     def test_sparse_request_anchors_each_index(self):
         # N = 1 lies more than 2048 terms below 10**5, so it is anchored as if alone

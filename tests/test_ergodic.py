@@ -55,6 +55,19 @@ class TestSampling:
         with pytest.raises(ValueError, match="max_terms must be >= 1, got 0"):
             SampleConfig(N=1, max_terms=0)
 
+    @pytest.mark.parametrize("name, fraction", [
+        ("trials", 2.5), ("denominator_bits", 100.5), ("max_terms", 2.5)])
+    def test_counts_must_be_integers(self, monkeypatch, name, fraction):
+        # True would pass for a count of 1 and a float would reach the sampler only
+        # after the targets are computed: both are refused before any draw
+        draws = []
+        monkeypatch.setattr(ergodic, "_sample_pairs", lambda cfg, trials: draws.append(cfg))
+        with pytest.raises(ValueError, match=f"^{name} must be >= "):
+            levy_estimate(SampleConfig(N=1, **{name: True}))
+        with pytest.raises(TypeError):
+            levy_estimate(SampleConfig(N=1, **{name: fraction}))
+        assert draws == []
+
     def test_denominator_has_requested_bits(self):
         for trial in range(5):
             x = sample_rational(CFG, trial)
