@@ -3,6 +3,11 @@
 Exact integer/rational dynamics, closed-form ergodic constants, and three
 independent verification routes: exact big-integer identities, Monte Carlo
 orbit averages, and a grid discretization of the transfer operator.
+
+Importing the package loads no numpy.  The exact work (digit expansions,
+convergents and the bounds certificate, so ``ncfrac expand`` and ``ncfrac
+verify bounds``) never loads it; the constants series, the Monte Carlo
+sampler and the Ulam grid import it on first use.
 """
 
 __version__ = "0.1.0"

@@ -30,8 +30,6 @@ from fractions import Fraction
 from functools import cached_property, partial
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from . import constants
 from .dynamics import (DEFAULT_MAX_TERMS, Expansion, RationalLike, _as_unit_rational, _walk,
                        check_index, expand, fixed_point)
@@ -136,6 +134,7 @@ def _sample_pairs(cfg: SampleConfig, trials: range) -> Iterator[tuple[int, int]]
     ceil(bits/8): exactly numpy's ``Generator.bytes(nbytes)``.  The first
     draw gives q's low bits, and p is drawn until 1 <= p < q.
     """
+    import numpy as np
     bits = cfg.denominator_bits
     nbytes = (bits + 7) // 8
     words = -(-nbytes // 4)  # raw 64-bit words per two draws
@@ -222,6 +221,7 @@ def _digit_power(a: int, r: float) -> float:
 def _divergence_report(cfg: SampleConfig, quantity: str, r: float, orbits: list[list[int]],
                        terms: int) -> EstimateReport:
     """Running means of digit**r over every orbit's digits in turn; no finite estimate exists."""
+    import numpy as np
     powers = np.array([_digit_power(a, r) for digits in orbits for a in digits])
     with np.errstate(over="ignore"):  # a running sum past the float range is inf
         running = np.cumsum(powers) / np.arange(1, terms + 1)
@@ -249,6 +249,7 @@ def _pooled(cfg: SampleConfig, quantity: str, target: float, stat: Callable,
     """
 
     def report(means: list[float], terms: int) -> EstimateReport:
+        import numpy as np
         means = np.array(means)
         grand = float(means.mean())
         std = float(means.std(ddof=1)) if cfg.trials > 1 else 0.0

@@ -833,12 +833,32 @@ class _BrokenPipe(io.StringIO):
         raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
 
 
-def _cli_process(argv, stdout) -> subprocess.Popen:
-    """`python -m ncfrac.cli argv` on the package under test, its stderr piped."""
+def _cli_env() -> dict:
+    """The environment with the package under test first on PYTHONPATH."""
     src = Path(cli.__file__).resolve().parents[1]
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def _cli_process(argv, stdout) -> subprocess.Popen:
+    """`python -m ncfrac.cli argv` on the package under test, its stderr piped."""
     return subprocess.Popen([sys.executable, "-m", "ncfrac.cli", *argv], stdout=stdout,
-                            stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=path))
+                            stderr=subprocess.PIPE, env=_cli_env())
+
+
+@pytest.mark.parametrize("argv", [["expand", "2/3", "--n", "2", "--format", "json"],
+                                  ["verify", "bounds", "--n", "1..3,1000", "--format", "json"]],
+                         ids=["expand", "bounds"])
+def test_exact_commands_run_without_numpy(argv):
+    # with sys.modules["numpy"] = None any numpy import raises ImportError, so
+    # the exact commands must reach their bytes on integers and math alone
+    run = "import sys, ncfrac.cli; sys.exit(ncfrac.cli.main(sys.argv[1:]))"
+    plain, blocked = (subprocess.run([sys.executable, "-c", prelude + run, *argv],
+                                     capture_output=True, env=_cli_env(), timeout=120)
+                      for prelude in ("", "import sys; sys.modules['numpy'] = None; "))
+    assert plain.returncode == 0, plain.stderr
+    assert blocked.returncode == 0, blocked.stderr
+    assert blocked.stdout == plain.stdout
 
 
 class TestWriteErrors:

@@ -15,12 +15,9 @@ import functools
 import itertools
 import json
 import math
-import os
 import random
-import subprocess
 import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +26,6 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import spence
 
-import ncfrac
 from ncfrac import (
     ConstantsReport,
     cdf,
@@ -725,10 +721,3 @@ class TestHurwitzZeta:
             for a in self.STARTS:
                 assert _hurwitz_zeta(s - 1 + 1000.0, a) == 0.0
 
-
-def test_import_leaves_scipy_unloaded():
-    src = str(Path(ncfrac.__file__).resolve().parents[1])
-    probe = "import ncfrac.cli, sys; sys.exit(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    done = subprocess.run([sys.executable, "-c", probe], env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, timeout=120)
-    assert done.returncode == 0, done.stderr

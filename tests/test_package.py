@@ -1,4 +1,5 @@
 """The package namespace re-exports each submodule's public names exactly once,
+importing the package or its command line loads neither numpy nor scipy,
 every docstring example in the package runs as written, every imported
 name is used, every internal the benchmark tracer wraps by name exists, and
 the declared console script resolves and runs."""
@@ -9,8 +10,11 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import ncfrac
@@ -25,6 +29,38 @@ def test_exports_resolve_once():
     assert not any("branch_cutoff" in name for name in names)
 
 
+# records which module imports numpy or scipy, then imports the package and
+# its command line in turn and names any of the two that is loaded after each
+_IMPORT_PROBE = """
+import importlib, sys
+
+class Witness:
+    def find_spec(self, name, path=None, target=None):
+        if name in ("numpy", "scipy"):
+            frame = sys._getframe(1)
+            while frame and not frame.f_globals.get("__name__", "").startswith("ncfrac"):
+                frame = frame.f_back
+            sys.exit(f"{name} imported by {frame.f_globals['__name__'] if frame else 'no ncfrac module'}")
+
+sys.meta_path.insert(0, Witness())
+for module in ("ncfrac", "ncfrac.cli"):
+    importlib.import_module(module)
+    loaded = sorted({name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"})
+    if loaded:
+        sys.exit(f"{', '.join(loaded)} loaded after import {module}")
+"""
+
+
+def test_import_loads_no_numpy_or_scipy():
+    # the exact commands (expand, verify bounds) compute without arrays, so the
+    # package and its CLI import numpy only where a command first needs it
+    src = str(Path(ncfrac.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 def test_docstring_examples_run():
     failed = attempted = 0
     for info in pkgutil.iter_modules(ncfrac.__path__):
@@ -35,30 +71,58 @@ def test_docstring_examples_run():
     assert attempted >= 5
 
 
-def _unused_imports(source: str) -> list[str]:
-    """Names a module imports and never reads; __all__ entries count as reads."""
-    tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _own_imports(scope: ast.AST):
+    """The import statements of a module or function, not of functions nested in it."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
         if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, _SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names a module imports and never reads, and names a function imports and
+    never reads in its own body, nested functions included; __all__ entries
+    count as reads of the module."""
+    tree = ast.parse(source)
+    exported = {c.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for c in ast.walk(node.value)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    unused = []
+    for scope in [tree, *(node for node in ast.walk(tree) if isinstance(node, _SCOPES))]:
+        read = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        if scope is tree:
+            read |= exported
+        for node in _own_imports(scope):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
             for alias in node.names:
-                if alias.name != "*":
-                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {c.value for c in ast.walk(node.value)
-                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
-    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+                name = alias.asname or alias.name.split(".")[0]
+                if alias.name != "*" and name not in read:
+                    unused.append((node.lineno, name))
+    return [f"{name} (line {line})" for line, name in sorted(unused)]
 
 
 def test_unused_import_check_sees_a_leftover():
     assert _unused_imports("import math\nimport operator\nx = math.pi\n") == [
         "operator (line 2)"]
     assert _unused_imports("from __future__ import annotations\nfrom os import *\n") == []
+
+
+def test_unused_import_check_sees_a_function_leftover():
+    # a function's import is checked against that function alone, so a read of
+    # the same name elsewhere does not hide it; a nested function's read counts
+    source = ("def f():\n    import numpy as np\n    return 1\n\n"
+              "def g():\n    import numpy as np\n    return lambda: np.pi\n\n"
+              "def h():\n    import math\n\n    def inner():\n        return math.pi\n"
+              "    return inner\n")
+    assert _unused_imports(source) == ["np (line 2)"]
 
 
 def test_every_import_is_used():
