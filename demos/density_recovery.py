@@ -8,9 +8,11 @@ distribution, and compare the histogram with the analytic density
 form.  Writes a density profile CSV for external plotting.
 """
 
+import csv
+
 import numpy as np
 
-from ncfrac import build_model, density, write_density_profile
+from ncfrac import build_model, density
 
 print("L1 recovery error vs grid resolution")
 print(f"{'N':>3} {'m=32':>10} {'m=128':>10} {'m=512':>10} {'iterations(512)':>16}")
@@ -30,6 +32,11 @@ for x in mids:
     print(f"  x={x:.4f}: recovered {model.stationary[cell] * 512:.6f}   "
           f"analytic {density(1, x):.6f}")
 
-write_density_profile(model, "density_profile_n1.csv")
+with open("density_profile_n1.csv", "w", newline="") as handle:
+    writer = csv.writer(handle)
+    writer.writerow(["midpoint", "empirical", "analytic"])
+    for cell, mass in enumerate(model.stationary.tolist()):
+        x = (cell + 0.5) / 512
+        writer.writerow([repr(x), repr(mass * 512), repr(density(1, x))])
 print("\nfull 512-cell profile written to density_profile_n1.csv "
       "(columns: midpoint, empirical, analytic)")

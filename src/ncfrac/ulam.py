@@ -36,12 +36,10 @@ instead of 33.6 MB.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
-from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Callable, Union
+from typing import TYPE_CHECKING, Callable
 
 from .dynamics import check_index
 
@@ -53,8 +51,6 @@ __all__ = [
     "UlamModel",
     "build_model",
     "density_l1_error",
-    "density_profile",
-    "write_density_profile",
 ]
 
 # caps build_model, the only grid; finer grids are out of scope
@@ -234,19 +230,13 @@ def _power_iteration(matvec: Callable[[np.ndarray], np.ndarray], m: int) -> tupl
     raise PowerIterationError(_MAX_ITERATIONS, step)
 
 
-def _midpoint_density(N: int, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Cell midpoints and the invariant density 1/((N + x) log(1 + 1/N)) there."""
+def density_l1_error(N: int, m: int, pi: np.ndarray) -> float:
+    """L1 distance between the cell histogram (pi * m) and the analytic density
+    1/((N + x) log(1 + 1/N)) sampled at cell midpoints."""
     import numpy as np
     check_index(N)
     mids = (np.arange(m) + 0.5) / m
-    return mids, 1.0 / ((N + mids) * math.log1p(1.0 / N))
-
-
-def density_l1_error(N: int, m: int, pi: np.ndarray) -> float:
-    """L1 distance between the cell histogram (pi * m) and the analytic density
-    sampled at cell midpoints."""
-    import numpy as np
-    _, analytic = _midpoint_density(N, m)
+    analytic = 1.0 / ((N + mids) * math.log1p(1.0 / N))
     return float(np.abs(pi * m - analytic).sum() / m)
 
 
@@ -278,19 +268,3 @@ def build_model(N: int, m: int) -> UlamModel:
         iterations=iterations,
     )
 
-
-def density_profile(model: UlamModel) -> np.ndarray:
-    """Columns (cell midpoint, recovered density, analytic density), one row per cell."""
-    import numpy as np
-    mids, analytic = _midpoint_density(model.N, model.m)
-    return np.column_stack([mids, model.stationary * model.m, analytic])
-
-
-def write_density_profile(model: UlamModel, file: Union[str, IO[str]]) -> None:
-    """Dump the density profile as CSV (midpoint, empirical, analytic) for plotting."""
-    rows = density_profile(model)
-    with open(file, "w", newline="") if isinstance(file, str) else nullcontext(file) as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["midpoint", "empirical", "analytic"])
-        for mid, emp, ana in rows:
-            writer.writerow([repr(float(mid)), repr(float(emp)), repr(float(ana))])

@@ -22,7 +22,6 @@ from ncfrac import (
     convergent_sequence,
     evaluate,
     expand,
-    float_shadow_digits,
     frequency,
     levy_L,
     levy_estimate,
@@ -34,7 +33,6 @@ from ncfrac import (
     orbit_estimates,
     sample_orbit,
     sample_rational,
-    shadow_divergence_step,
 )
 from ncfrac import ergodic
 from ncfrac.dynamics import _walk, fixed_point
@@ -581,35 +579,3 @@ class TestFixedPointOrbits:
             2 * math.log((math.sqrt(p * p + 4) + p) / 2) for p in (1, 5, 50, 500)
         ]
         assert all(a < b for a, b in zip(values, values[1:]))
-
-
-class TestFloatShadow:
-    def test_shadow_digits_drift_from_exact(self):
-        cfg = SampleConfig(N=1, trials=4, denominator_bits=128, seed=7)
-        for N in (1, 2, 3):
-            cfg_n = SampleConfig(N=N, trials=4, denominator_bits=128, seed=7)
-            for trial in range(4):
-                step = shadow_divergence_step(sample_rational(cfg_n, trial), N)
-                # double precision loses ~lyapunov/log(2) bits per step; the
-                # digits go wrong within a few dozen steps, never beyond ~50
-                assert step is not None
-                assert 3 <= step <= 50
-
-    def test_shadow_of_a_short_expansion(self):
-        # 1/2 is exact in binary: the shadow reaches 0 with the exact orbit
-        assert float_shadow_digits(Fraction(1, 2), 1) == [2]
-        assert shadow_divergence_step(Fraction(1, 2), 1) is None
-        # 1/2 - 10**-30 rounds to 1/2, so its shadow stops a digit early
-        assert shadow_divergence_step(Fraction(1, 2) - Fraction(1, 10**30), 1) == 1
-
-    def test_shadow_agrees_initially(self):
-        x = sample_rational(CFG, 0)
-        exact = expand(x, 1, 10).coeffs
-        shadow = float_shadow_digits(x, 1, 10)
-        assert tuple(shadow[:5]) == exact[:5]
-
-    def test_shadow_takes_points_as_the_exact_map_does(self):
-        with pytest.raises(TypeError):
-            float_shadow_digits(0.5, 1)
-        with pytest.raises(ValueError, match="point must lie in"):
-            float_shadow_digits(Fraction(3, 2), 1)

@@ -1,8 +1,9 @@
 """The package namespace re-exports each submodule's public names exactly once,
 importing the package or its command line loads neither numpy nor scipy,
-every docstring example in the package runs as written, every imported
-name is used, every internal the benchmark tracer wraps by name exists, and
-the declared console script resolves and runs."""
+every docstring example in the package runs as written, every name that the
+package, its tests or its demos import is used, every internal the benchmark
+tracer wraps by name exists, and the declared console script resolves and
+runs."""
 
 import ast
 import doctest
@@ -18,7 +19,6 @@ import sys
 from pathlib import Path
 
 import ncfrac
-from ncfrac import constants, convergents, dynamics, ergodic, ulam
 
 
 def test_exports_resolve_once():
@@ -126,7 +126,11 @@ def test_unused_import_check_sees_a_function_leftover():
 
 
 def test_every_import_is_used():
-    unused = {path.name: found for path in sorted(Path(ncfrac.__file__).parent.rglob("*.py"))
+    # the package, its tests and its demos; bench/ is left to its own harness
+    root = Path(__file__).resolve().parents[1]
+    paths = [*Path(ncfrac.__file__).parent.rglob("*.py"), *(root / "tests").glob("*.py"),
+             *(root / "demos").glob("*.py")]
+    unused = {str(path.relative_to(path.parents[1])): found for path in sorted(paths)
               if (found := _unused_imports(path.read_text()))}
     assert unused == {}
 

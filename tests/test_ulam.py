@@ -1,6 +1,5 @@
 """Grid transfer-operator models: stochasticity, stationarity, density recovery."""
 
-import io
 import math
 import sys
 import tracemalloc
@@ -13,8 +12,6 @@ from ncfrac import (
     build_model,
     density,
     density_l1_error,
-    density_profile,
-    write_density_profile,
 )
 from ncfrac.ulam import _compact_masses, _power_iteration, _psi_tail
 
@@ -257,28 +254,3 @@ class TestDensityRecovery:
     def test_l1_error_helper_consistent(self):
         model = build_model(3, 64)
         assert density_l1_error(3, 64, model.stationary) == model.l1_error
-
-
-class TestSerialization:
-    def test_profile_columns(self):
-        model = build_model(1, 32)
-        profile = density_profile(model)
-        assert profile.shape == (32, 3)
-        mids, empirical, analytic = profile.T
-        assert mids[0] == pytest.approx(1 / 64)
-        assert empirical.sum() / 32 == pytest.approx(1.0, abs=1e-12)
-        assert analytic.tolist() == [density(1, x) for x in mids]  # bit-identical
-
-    def test_csv_writer(self):
-        model = build_model(1, 32)
-        buffer = io.StringIO()
-        write_density_profile(model, buffer)
-        lines = buffer.getvalue().strip().splitlines()
-        assert lines[0] == "midpoint,empirical,analytic"
-        assert len(lines) == 33
-
-    def test_csv_writer_to_path(self, tmp_path):
-        model = build_model(1, 32)
-        out = tmp_path / "profile.csv"
-        write_density_profile(model, str(out))
-        assert out.read_text().startswith("midpoint,empirical,analytic")
