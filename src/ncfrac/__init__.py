@@ -7,7 +7,8 @@ orbit averages, and a grid discretization of the transfer operator.
 Importing the package loads no numpy.  The exact work (digit expansions,
 convergents and the bounds certificate, so ``ncfrac expand`` and ``ncfrac
 verify bounds``) never loads it; the constants series, the Monte Carlo
-sampler and the Ulam grid import it on first use.
+sampler and the Ulam grid read numpy's names off ``ncfrac._np``, the one
+module that imports it, when the first name is read.
 """
 
 __version__ = "0.1.0"

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import io
 import json
 import math
 import os
@@ -23,8 +22,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, islice, repeat
-from types import GeneratorType
-from typing import Callable, Iterator, Optional
+from types import GeneratorType, SimpleNamespace
+from typing import Callable, Iterator
 
 from . import __version__, constants, ergodic, ulam
 from .convergents import _convergents
@@ -83,13 +82,6 @@ def _parse_n_values(text: str) -> list[int]:
     return [n for values in ranges for n in values]
 
 
-def _fraction_log10(value: Fraction) -> Optional[float]:
-    """log10 of a non-negative fraction; None (JSON null) for an exact zero."""
-    if value == 0:
-        return None
-    return (math.log(value.numerator) - math.log(value.denominator)) / math.log(10)
-
-
 # --------------------------------------------------------------------------
 # subcommands: each returns (results, exit_code), every check already run;
 # constants' records and expand's convergents are generators, each item made
@@ -97,17 +89,23 @@ def _fraction_log10(value: Fraction) -> Optional[float]:
 
 
 def _convergent_rows(x: Fraction, coeffs: tuple[int, ...], N: int) -> Iterator[dict]:
-    """One row per convergent 1..len(coeffs) of x's checked digits, made as it is read."""
+    """One row per convergent 1..len(coeffs) of x's checked digits, made as it is read.
+
+    The error |x - A/B| is the integer gap |B*p - A*q| over q*B, x = p/q: int/int
+    division rounds correctly, and math.log takes big ints exactly; an exact
+    zero has no logarithm (JSON null).
+    """
+    p, q = x.numerator, x.denominator
     for conv in islice(_convergents(coeffs, N), 1, None):
         ratio = conv.ratio()
-        err = abs(x - ratio)
+        gap, den = abs(conv.B * p - conv.A * q), q * conv.B
         yield {
             "n": conv.n,
             "A": conv.A,
             "B": conv.B,
             "ratio": f"{ratio.numerator}/{ratio.denominator}",
-            "abs_error": float(err),
-            "log10_abs_error": _fraction_log10(err),
+            "abs_error": gap / den,
+            "log10_abs_error": (math.log(gap) - math.log(den)) / math.log(10) if gap else None,
         }
 
 
@@ -227,13 +225,10 @@ def _render_csv(command: str, results) -> Iterator[str]:
     else:  # verify
         header = ["suite", "N", "quantity", "value", "target", "deviation", "tolerance", "pass"]
         groups = ([[_format_cell(row[key]) for key in header]] for row in results)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer)
+    # writerow returns what its file's write returns: str() of a row's text is the text
+    writer = csv.writer(SimpleNamespace(write=str))
     for rows in chain([[header]], groups):
-        writer.writerows(rows)
-        yield buffer.getvalue()
-        buffer.seek(0)
-        buffer.truncate()
+        yield "".join(map(writer.writerow, rows))
 
 
 def _render_plain(command: str, results) -> Iterator[str]:
@@ -286,12 +281,13 @@ def _flat_encoder(level: int) -> Callable[[object], str]:
 def _json_chunks(value, level: int) -> Iterator[str]:
     """`value` as json.dumps(sort_keys=True, indent=2) writes it at indent level `level`.
 
-    A container that holds no container is one call of json's C encoder.  A
-    list, tuple or generator that does is read one item at a time, and each
-    item of a generator (a record) is joined into one chunk.  A dict that does
-    is encoded in one call, each container item standing in as a 0, and only
-    its container items are walked here: C sorts and spells the keys as
-    json.dumps does, and sorts its copy's items as sorted() sorts the original's.
+    A container that holds no container is one call of json's C encoder.  Any
+    other list, tuple, generator or dict is read one item at a time, a dict's
+    in sorted() order, which is the order json's C encoder sorts them in: a
+    scalar item is encoded where it stands, a container item is walked, and
+    each item of a generator (a record) is joined into one chunk.  A key is
+    spelled as json spells it, json.dumps(key) for a non-str key, and then
+    encoded as a string.
     """
     encode = _flat_encoder(level)
     if not isinstance(value, _CONTAINERS):
@@ -304,27 +300,20 @@ def _json_chunks(value, level: int) -> Iterator[str]:
         text = encode(value)
         yield text if len(text) == 2 else f"{text[0]}{outer}  {text[1:-1]}{outer}{text[-1]}"
         return
-    if not is_dict:
-        lead = "[" + separator[1:]
-        for item in value:
+    brackets = "{}" if is_dict else "[]"
+    lead = brackets[0] + separator[1:]
+    for item in sorted(value.items()) if is_dict else value:
+        if is_dict:
+            key, item = item
+            lead += encode(key if isinstance(key, str) else json.dumps(key)) + ": "
+        if not isinstance(item, _CONTAINERS):
+            yield lead + encode(item)
+        else:
             chunks = _json_chunks(item, level + 1)
             yield lead + ("".join(chunks) if isinstance(value, GeneratorType) else next(chunks))
             yield from chunks
-            lead = separator
-        yield "[]" if lead != separator else outer + "]"
-        return
-    items = [item for _, item in sorted(value.items())]
-    text = encode({key: 0 if isinstance(item, _CONTAINERS) else item
-                   for key, item in value.items()})
-    lead = "{" + separator[1:]
-    for item, entry in zip(items, text[1:-1].split(separator)):
-        if isinstance(item, _CONTAINERS):
-            yield lead + entry[:-1]
-            yield from _json_chunks(item, level + 1)
-        else:
-            yield lead + entry
         lead = separator
-    yield outer + "}"
+    yield brackets if lead != separator else outer + brackets[1]
 
 
 def _render_json(doc) -> Iterator[str]:

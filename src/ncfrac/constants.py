@@ -50,6 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
+from . import _np as np
 from .dynamics import check_digits, check_index
 
 __all__ = [
@@ -192,7 +193,6 @@ def _suffix_series(ns, offset: int, summand, tail):
     term positive, with the tail expansion ``tail`` of the summand as (s - 1, c)
     pairs (module docstring).
     """
-    import numpy as np
     *tail, (t_next, c_next) = tail
     # the indices from the largest down, as runs (starts an anchor, [N, ...]); a run
     # that would span over _CHUNK_TERMS ends early and the next carries its sum on
@@ -246,7 +246,6 @@ def _columns(rows) -> tuple[array, array, array]:
 def _geometric_mean_series(ns) -> tuple[array, array, array]:
     """log of the digit geometric mean, as _columns of (value, terms used, tail
     bound), one entry per distinct N in walk order, the largest N first."""
-    import numpy as np
     return _columns((math.log(N) + mean, terms, bound) for N, mean, terms, bound in _suffix_series(
         ns, 1, lambda k: np.log1p(1.0 / (k - 1)) * np.log1p(1.0 / k),
         [(s - 1, c) for s, c in _GEOMEAN_TAIL]))
@@ -281,7 +280,6 @@ def _holder_series(ns, r: float) -> tuple[array, array, array]:
     """Power mean of order r, as _columns of (value, terms, tail bound of the mean
     of digit**r), one entry per distinct N in walk order, the largest N first; each
     value's overflow check runs in that order."""
-    import numpy as np
     name = f"holder_mean[r={_order_label(r)}]"
     if ns:
         _check_order(ns[0], r)  # N-independent; N only names an index in the message

@@ -29,6 +29,7 @@ from functools import cached_property, partial
 from itertools import accumulate
 from typing import Callable, Iterator, Optional, Sequence
 
+from . import _np as np
 from . import constants
 from .dynamics import DEFAULT_MAX_TERMS, Expansion, _walk, check_index, expand, fixed_point
 
@@ -130,7 +131,6 @@ def _sample_pairs(cfg: SampleConfig, trials: range) -> Iterator[tuple[int, int]]
     ceil(bits/8): exactly numpy's ``Generator.bytes(nbytes)``.  The first
     draw gives q's low bits, and p is drawn until 1 <= p < q.
     """
-    import numpy as np
     bits = cfg.denominator_bits
     nbytes = (bits + 7) // 8
     words = -(-nbytes // 4)  # raw 64-bit words per two draws
@@ -243,7 +243,6 @@ def _pooled(cfg: SampleConfig, quantity: str, target: float, stat: Callable,
     """
 
     def report(means: list[float], terms: int) -> EstimateReport:
-        import numpy as np
         means = np.array(means)
         grand = float(means.mean())
         std = float(means.std(ddof=1)) if cfg.trials > 1 else 0.0

@@ -39,12 +39,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import Callable
 
+from . import _np as np
 from .dynamics import check_index
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "PowerIterationError",
@@ -99,7 +97,6 @@ def _psi_tail(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     that term and every later one is below 2**-57 of the sum, under a quarter
     ulp, and cannot change a bit of it.
     """
-    import numpy as np
     h = c[1]
     edges = np.maximum(a, _PSI_SERIES_FROM) + c
     x, y = edges[..., :-1], edges[..., 1:]
@@ -128,7 +125,6 @@ def _psi_tail(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _clip(N: int, x: np.ndarray, lo, hi) -> np.ndarray:
     """Preimage edges N/x, x = k + c on branch k, clipped to the row [lo, hi];
     computed in place in ``x``."""
-    import numpy as np
     np.divide(N, x, out=x)
     np.maximum(x, lo, out=x)
     return np.minimum(x, hi, out=x)
@@ -138,7 +134,6 @@ def _windows(N: int, m: int, K: np.ndarray) -> tuple[np.ndarray, ...]:
     """Row, branch and column window [lo, hi) of every row's lower boundary
     branch K_{i+1}, then of the upper one K_i of each row i > 0 with
     K_i > K_{i+1}, as in the module docstring."""
-    import numpy as np
     ratio = np.array([math.inf, *(N * m / i for i in range(1, m + 1))])  # N/t_i
     upper = np.flatnonzero(K[1:-1] > K[2:]) + 1
     rows = np.concatenate([np.arange(m), upper])
@@ -158,7 +153,6 @@ def _compact_masses(N: int, m: int) -> tuple[np.ndarray, ...]:
     0..H-1 densely.  Each later row is its boundary windows alone, the lower
     branches' first: window w covers ``lengths[w]`` columns of row ``rows[w]``,
     and the windows' columns and masses lie end to end in ``cols`` and ``vals``."""
-    import numpy as np
     check_index(N)
     if m < 16:
         raise ValueError(f"need at least 16 cells, got {m}")
@@ -217,7 +211,6 @@ def _compact_masses(N: int, m: int) -> tuple[np.ndarray, ...]:
 
 def _power_iteration(matvec: Callable[[np.ndarray], np.ndarray], m: int) -> tuple[np.ndarray, int]:
     """Left power iteration of pi -> matvec(pi) from uniform over m cells."""
-    import numpy as np
     pi = np.full(m, 1.0 / m)
     step = math.inf
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -233,7 +226,6 @@ def _power_iteration(matvec: Callable[[np.ndarray], np.ndarray], m: int) -> tupl
 def density_l1_error(N: int, m: int, pi: np.ndarray) -> float:
     """L1 distance between the cell histogram (pi * m) and the analytic density
     1/((N + x) log(1 + 1/N)) sampled at cell midpoints."""
-    import numpy as np
     check_index(N)
     mids = (np.arange(m) + 0.5) / m
     analytic = 1.0 / ((N + mids) * math.log1p(1.0 / N))
@@ -243,7 +235,6 @@ def density_l1_error(N: int, m: int, pi: np.ndarray) -> float:
 def build_model(N: int, m: int) -> UlamModel:
     """Assemble the compact operator, solve for its stationary vector, score the
     recovery."""
-    import numpy as np
     head, rows, lengths, cols, vals = _compact_masses(N, m)
     head /= head.sum(axis=1, keepdims=True)
     sums = np.bincount(np.repeat(rows, lengths), vals, minlength=m)  # the tail rows'

@@ -685,9 +685,12 @@ _json_trees = st.recursive(_json_scalars, lambda children: (
 @example([0])
 @example({"": {}, "a": [[], [1]], "b": None})
 @example({-1: ["\n"], 10: {3: True}, 9: 0.5})
+@example({True: [0], 2.5: {"a": []}, 3: 1})
+@example([{False: [None]}, ({"x": (1, [2])},)])
 def test_render_json_matches_the_stdlib_encoder(tree):
     # nan and +-inf, numpy floats, big ints, control and non-ASCII characters,
-    # empty and nested containers: byte for byte what json.dumps writes
+    # empty and nested containers, bool and float keys spelled as json spells
+    # them, tuples: byte for byte what json.dumps writes
     assert "".join(_render_json(tree)) == json.dumps(tree, sort_keys=True, indent=2) + "\n"
 
 

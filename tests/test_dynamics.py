@@ -68,17 +68,35 @@ def fibonacci_pair(bits):
     return p, q
 
 
+def scaled_pair(N, digits, shift):
+    """(p << shift, q << shift) for the p/q whose expansion is exactly `digits`,
+    each >= N and the last > N, so that the walk ends on 0 after the last."""
+    x = Fraction(0)
+    for a in reversed(digits):
+        x = N / (a + x)
+    return x.numerator << shift, x.denominator << shift
+
+
 @st.composite
 def big_orbits(draw):
     """(p, q, N): q of 64 to 9000 bits, on both sides of every batch floor, and
-    p random, next to the fixed point [N, N, ...] (long runs of digit N) or,
-    as a Fibonacci pair, on it; N up to 2**40, past the last batched index."""
+    p random, next to the fixed point [N, N, ...] (long runs of digit N), as a
+    Fibonacci pair on it, or scaled: a short expansion that ends at or one digit
+    before the end of the first or second batch, its p and q shifted past the
+    batch floor; N up to 2**40, past the last batched index."""
     N = draw(st.one_of(st.integers(min_value=1, max_value=12),
                        st.integers(min_value=1, max_value=2**40)))
     bits = draw(st.integers(min_value=64, max_value=9000))
-    kind = draw(st.sampled_from(["random", "fixed point", "fibonacci"]))
+    kind = draw(st.sampled_from(["random", "fixed point", "fibonacci", "scaled"]))
     if kind == "fibonacci":
         return (*fibonacci_pair(bits), N)
+    if kind == "scaled":
+        k = dynamics._batch_length(N)
+        length = draw(st.sampled_from([k - 1, k, 2 * k - 1, 2 * k]))
+        digits = draw(st.lists(st.integers(min_value=N, max_value=N + 100),
+                               min_size=length - 1, max_size=length - 1))
+        last = draw(st.integers(min_value=N + 1, max_value=N + 100))
+        return (*scaled_pair(N, [*digits, last], 1024 + 320 * N.bit_length() + bits), N)
     q = draw(st.integers(min_value=2 ** (bits - 1), max_value=2**bits - 1))
     if kind == "random":
         return draw(st.integers(min_value=1, max_value=q - 1)), q, N
@@ -328,6 +346,9 @@ def test_kernel_matches_reduced_reference(case, depth):
 @given(big_orbits(), st.one_of(st.integers(min_value=0, max_value=400),
                                st.just(DEFAULT_MAX_TERMS)))
 @example((*fibonacci_pair(9000), 2**23 - 1), DEFAULT_MAX_TERMS)  # the shortest batch, k = 5
+# a batch that ends on p_k = 0: a kept batch must end with 0 < p_k < q_k
+@example((*scaled_pair(1, [1] * 40 + [2], 1800), 1), DEFAULT_MAX_TERMS)
+@example((*scaled_pair(3, [3] * 62 + [4], 1800), 3), DEFAULT_MAX_TERMS)
 def test_batched_walk_matches_plain_loop(orbit_case, max_terms):
     # max_terms up to 400 ends most walks part way through a batch
     p, q, N = orbit_case

@@ -61,6 +61,15 @@ def test_import_loads_no_numpy_or_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_numpy_is_imported_by_one_module():
+    # every other module reads numpy's names off ncfrac._np, which imports numpy
+    # the first time one is read
+    package = Path(ncfrac.__file__).parent
+    importing = [path.name for path in sorted(package.glob("*.py"))
+                 if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)]
+    assert importing == ["_np.py"]
+
+
 def test_docstring_examples_run():
     failed = attempted = 0
     for info in pkgutil.iter_modules(ncfrac.__path__):
