@@ -12,16 +12,7 @@ a few dozen steps, while the exact orbit is right for its full length.
 
 import math
 
-from ncfrac import (
-    SampleConfig,
-    birkhoff_estimate,
-    bound_achievement,
-    expand,
-    levy_estimate,
-    lyapunov_estimate,
-    sample_orbit,
-    sample_rational,
-)
+from ncfrac import SampleConfig, bound_achievement, expand, orbit_estimates, sample_rational
 
 
 def shadow_divergence_step(x, N, max_terms=200):
@@ -40,19 +31,15 @@ def shadow_divergence_step(x, N, max_terms=200):
 for N in (1, 2, 5):
     cfg = SampleConfig(N=N, trials=200, denominator_bits=512, seed=0)
     print(f"\nindex N = {N} (200 trials, 512-bit denominators, seed 0)")
-    print(f"  typical expansion length: {len(sample_orbit(cfg, 0))} digits")
-    for report in (
-        birkhoff_estimate(cfg, "log-digit"),
-        birkhoff_estimate(cfg, "digit-indicator"),
-        lyapunov_estimate(cfg),
-        levy_estimate(cfg),
-    ):
+    print(f"  typical expansion length: {len(expand(sample_rational(cfg, 0), N))} digits")
+    for report in orbit_estimates(cfg, [("log-digit", None), ("digit-indicator", None),
+                                        ("log-derivative", None), ("denominator-growth", None)]):
         print(f"  {report.quantity:<24} empirical {report.value:>10.5f}   "
               f"target {report.target:>10.5f}   off by {report.rel_deviation:.3%}")
 
 print("\nthe plain digit mean has no limit; its running mean keeps climbing:")
 cfg = SampleConfig(N=1, trials=200, denominator_bits=512, seed=0)
-report = birkhoff_estimate(cfg, "digit-power", r=1.0)
+(report,) = orbit_estimates(cfg, [("digit-power", 1.0)])
 for mark, mean in zip(report.extras["checkpoints"], report.extras["running_means"]):
     print(f"  after {mark:>6} digits: running mean {mean:7.2f}")
 

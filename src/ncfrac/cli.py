@@ -26,7 +26,7 @@ from types import GeneratorType, SimpleNamespace
 from typing import Callable, Iterator
 
 from . import __version__, constants, ergodic, ulam
-from .convergents import _convergents
+from .convergents import _convergents, _log_error
 from .dynamics import DEFAULT_MAX_TERMS, expand
 
 #: Per-suite pass tolerances (relative unless noted); fixed, not flags.
@@ -92,7 +92,7 @@ def _convergent_rows(x: Fraction, coeffs: tuple[int, ...], N: int) -> Iterator[d
     """One row per convergent 1..len(coeffs) of x's checked digits, made as it is read.
 
     The error |x - A/B| is the integer gap |B*p - A*q| over q*B, x = p/q: int/int
-    division rounds correctly, and math.log takes big ints exactly; an exact
+    division rounds correctly, and its log is convergents._log_error's; an exact
     zero has no logarithm (JSON null).
     """
     p, q = x.numerator, x.denominator
@@ -105,7 +105,7 @@ def _convergent_rows(x: Fraction, coeffs: tuple[int, ...], N: int) -> Iterator[d
             "B": conv.B,
             "ratio": f"{ratio.numerator}/{ratio.denominator}",
             "abs_error": gap / den,
-            "log10_abs_error": (math.log(gap) - math.log(den)) / math.log(10) if gap else None,
+            "log10_abs_error": _log_error(gap, den) / math.log(10) if gap else None,
         }
 
 
@@ -372,7 +372,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         try:
             results, code = args.func(args)
-        except (ValueError, TypeError, OverflowError) as exc:
+        except (ValueError, TypeError, OverflowError, ImportError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.format == "json":

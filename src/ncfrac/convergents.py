@@ -12,6 +12,7 @@ copy.  Convergents are kept unreduced; only :meth:`Convergent.ratio` and
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -96,13 +97,25 @@ def determinant_check(trace: ConvergentTrace) -> bool:
     return True
 
 
+def _log_error(gap: int, den: int) -> float:
+    """ln(gap/den) of positive integers, such as a convergent's error |B*p - A*q|/(q*B).
+
+    int/int division rounds correctly, so where the quotient is a normal float
+    its log is good to an ulp.  Below that the difference of the big-int logs
+    (math.log takes them exactly) is used: it cancels to an absolute error of
+    about ulp(ln den), small against a value beyond ln(2**-1022).
+    """
+    if (ratio := gap / den) >= sys.float_info.min:
+        return math.log(ratio)
+    return math.log(gap) - math.log(den)
+
+
 def approximation_rate(x: RationalLike, N: int, n: int) -> float:
     """Exponential accuracy -(1/n) * ln|x - A_n/B_n| of the depth-n convergent.
 
-    The difference is formed exactly as a rational and only the final
-    logarithm is floating point, so there is no cancellation.  Raises if the
-    expansion of x terminates at or before depth n (the difference would be
-    zero there).
+    The difference is formed exactly as an integer gap over its denominator,
+    and its log is taken by :func:`_log_error`.  Raises if the expansion of x
+    terminates at or before depth n (the difference would be zero there).
     """
     check_index(N)
     if n < 1:
@@ -116,8 +129,7 @@ def approximation_rate(x: RationalLike, N: int, n: int) -> float:
     x = Fraction(x)
     num = abs(x.numerator * conv.B - x.denominator * conv.A)
     den = x.denominator * conv.B
-    # big-int logs: math.log takes arbitrary-precision integers exactly
-    return (math.log(den) - math.log(num)) / n
+    return -_log_error(num, den) / n
 
 
 def error_bounds_check(trace: ConvergentTrace, x: RationalLike) -> bool:

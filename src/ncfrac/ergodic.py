@@ -27,22 +27,18 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import accumulate
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import _np as np
 from . import constants
-from .dynamics import DEFAULT_MAX_TERMS, Expansion, _walk, check_index, expand, fixed_point
+from .dynamics import DEFAULT_MAX_TERMS, _walk, check_index, fixed_point
 
 __all__ = [
     "OBSERVABLES",
     "EstimateReport",
     "SampleConfig",
-    "birkhoff_estimate",
     "bound_achievement",
-    "levy_estimate",
-    "lyapunov_estimate",
     "orbit_estimates",
-    "sample_orbit",
     "sample_rational",
 ]
 
@@ -168,16 +164,6 @@ def sample_rational(cfg: SampleConfig, trial: int = 0) -> Fraction:
     if operator.index(trial) < 0:
         raise ValueError(f"trial must be a non-negative integer, got {trial}")
     return Fraction(*next(_sample_pairs(cfg, range(trial, trial + 1))))
-
-
-def sample_orbit(cfg: SampleConfig, trial: int = 0) -> Expansion:
-    """Exact expansion of one sampled rational, truncated at cfg.max_terms.
-
-    Expansion length before termination (denominators cannot outgrow q) lies
-    between denominator_bits * log(2) / levy_L(N) and
-    denominator_bits * log(2) / levy_lambda(N); the two bounds meet at N = 1.
-    """
-    return expand(sample_rational(cfg, trial), cfg.N, cfg.max_terms)
 
 
 def _growth_rate(digits: list[int], log_ratio: float, x_n: float, N: int) -> float:
@@ -334,39 +320,6 @@ def orbit_estimates(cfg: SampleConfig, observables: Sequence[tuple]) -> list[Est
             out.append(stat(digits, log_ratio, p / q))
         terms += len(digits)
     return [report(out, terms) for (_, report), out in zip(requests, stats)]
-
-
-def birkhoff_estimate(
-    cfg: SampleConfig,
-    observable: str,
-    *,
-    r: Optional[float] = None,
-    M: Optional[int] = None,
-) -> EstimateReport:
-    """Orbit average of one observable against its closed-form space average.
-
-    observable is one of OBSERVABLES (see :func:`orbit_estimates`); r is the
-    exponent of "digit-power" and M the digit of "digit-indicator"; either
-    given to another observable raises ValueError before any sample is drawn.
-    """
-    param, stray, name = (r, M, "M") if observable == "digit-power" else (M, r, "r")
-    if stray is not None:
-        raise ValueError(f"{observable} takes no {name}, got {name} = {stray!r}")
-    return orbit_estimates(cfg, [(observable, param)])[0]
-
-
-def lyapunov_estimate(cfg: SampleConfig) -> EstimateReport:
-    """Mean of log|T'| along exact orbits; target 2*levy_lambda(N) + log(N)."""
-    return birkhoff_estimate(cfg, "log-derivative")
-
-
-def levy_estimate(cfg: SampleConfig) -> EstimateReport:
-    """Per-trial log(B_n)/n at the deepest available n; target levy_L(N).
-
-    B_n is not built: x_0 * ... * x_{n-1} = N^n / (B_n + x_n * B_{n-1}) gives
-    log(B_n) from the orbit itself (see :func:`orbit_estimates`).
-    """
-    return birkhoff_estimate(cfg, "denominator-growth")
 
 
 def bound_achievement(N: int, depth: int = 200) -> list[EstimateReport]:

@@ -14,7 +14,6 @@ import numpy as np
 
 from ncfrac import (
     SampleConfig,
-    birkhoff_estimate,
     bound_achievement,
     build_model,
     cdf,
@@ -26,10 +25,9 @@ from ncfrac import (
     holder_mean,
     khinchin,
     lambda_asymptotic,
-    levy_estimate,
     levy_lambda,
     lower_bounds,
-    lyapunov_estimate,
+    orbit_estimates,
 )
 
 
@@ -126,12 +124,8 @@ def test_criterion_07_birkhoff_suite():
     details = []
     for N in (1, 2, 5):
         cfg = SampleConfig(N=N, trials=200, denominator_bits=512, seed=0)
-        estimates = (
-            birkhoff_estimate(cfg, "log-digit"),
-            birkhoff_estimate(cfg, "digit-indicator"),
-            lyapunov_estimate(cfg),
-            levy_estimate(cfg),
-        )
+        estimates = orbit_estimates(cfg, [("log-digit", None), ("digit-indicator", None),
+                                          ("log-derivative", None), ("denominator-growth", None)])
         for report in estimates:
             worst = max(worst, report.rel_deviation)
         details.append(f"N={N} worst={max(r.rel_deviation for r in estimates):.3%}")
@@ -178,7 +172,7 @@ def test_criterion_09_transfer_operator_recovery():
 def test_criterion_10_divergence_diagnostics():
     inf_ok = all(math.isinf(holder_mean(N, 1.0)) for N in (1, 2, 5))
     cfg = SampleConfig(N=1, trials=200, denominator_bits=512, seed=0)
-    report = birkhoff_estimate(cfg, "digit-power", r=1.0)
+    (report,) = orbit_estimates(cfg, [("digit-power", 1.0)])
     marks = report.extras["checkpoints"]
     means = report.extras["running_means"]
     early_bound = means[marks.index(1000)]

@@ -864,6 +864,19 @@ def test_exact_commands_run_without_numpy(argv):
     assert blocked.stdout == plain.stdout
 
 
+@pytest.mark.parametrize("argv", [["constants", "--n", "1"], ["verify", "levy", "--n", "1"],
+                                  ["verify", "ulam", "--n", "1", "--cells", "16"]],
+                         ids=["constants", "levy", "ulam"])
+def test_array_commands_without_numpy_exit_2_with_one_line(argv):
+    # a fresh process, since ncfrac._np keeps every numpy name it has read
+    run = ("import sys; sys.modules['numpy'] = None; import ncfrac.cli; "
+           "sys.exit(ncfrac.cli.main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", run, *argv], capture_output=True,
+                          env=_cli_env(), timeout=120)
+    assert done.returncode == 2 and done.stdout == b"", done.stderr
+    assert re.fullmatch(r"error: [^\n]*\n", done.stderr.decode()), done.stderr
+
+
 class TestWriteErrors:
     """A write error on stdout exits 2 with one error line, as one on --output
     does, and the interpreter's flush at exit adds nothing to stderr."""

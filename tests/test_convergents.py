@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from ncfrac import (
     lyapunov_const,
     sample_rational,
 )
+from ncfrac.cli import _convergent_rows
 from ncfrac.dynamics import _walk
 
 # digit sequences admissible for the index drawn alongside them
@@ -238,6 +240,38 @@ class TestApproximationRate:
         rates = [approximation_rate(sample_rational(cfg, t), 1, 400) for t in range(20)]
         mean_rate = sum(rates) / len(rates)
         assert mean_rate == pytest.approx(lyapunov_const(1), rel=0.02)
+
+    @pytest.mark.parametrize("N", [1, 7])
+    def test_log_error_against_decimal_reference(self, N):
+        # the logs of a 6000-bit p/q's gaps and denominators are about 4160 each,
+        # so their difference cancels where the error is small; past about
+        # depth 300 the quotient is below the normal floats and the value large,
+        # so both branches of _log_error are read
+        rng = random.Random(1)
+        q = rng.getrandbits(6000) | 1 << 5999
+        x = Fraction(rng.randrange(1, q), q)
+        rows = list(_convergent_rows(x, expand(x, N).coeffs, N))[:-1]  # the last is x
+
+        def reference(row) -> Decimal:
+            # ln|x - A/B| to 60 digits, from the gap over its denominator scaled
+            # to about 220 bits, exact but for the floor's relative 2**-219
+            gap = abs(row["B"] * x.numerator - row["A"] * x.denominator)
+            den = x.denominator * row["B"]
+            shift = den.bit_length() - gap.bit_length() + 220
+            with localcontext() as ctx:
+                ctx.prec = 60
+                return Decimal((gap << shift) // den).ln() - shift * Decimal(2).ln()
+
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ln10 = Decimal(10).ln()
+            for row in rows:
+                expected = reference(row) / ln10
+                assert abs(Decimal(row["log10_abs_error"]) / expected - 1) < 1e-14, row["n"]
+            for row in rows[:40] + rows[100::250]:
+                expected = -reference(row) / row["n"]
+                rate = approximation_rate(x, N, row["n"])
+                assert abs(Decimal(rate) / expected - 1) < 1e-14, row["n"]
 
     def test_error_beyond_termination(self):
         with pytest.raises(ValueError):

@@ -17,21 +17,17 @@ from hypothesis import strategies as st
 
 from ncfrac import (
     SampleConfig,
-    birkhoff_estimate,
     bound_achievement,
     convergent_sequence,
     evaluate,
     expand,
     frequency,
     levy_L,
-    levy_estimate,
     levy_lambda,
     lower_bounds,
     lyapunov_const,
-    lyapunov_estimate,
     orbit,
     orbit_estimates,
-    sample_orbit,
     sample_rational,
 )
 from ncfrac import ergodic
@@ -61,9 +57,9 @@ class TestSampling:
         draws = []
         monkeypatch.setattr(ergodic, "_sample_pairs", lambda cfg, trials: draws.append(cfg))
         with pytest.raises(ValueError, match=f"^{name} must be >= "):
-            levy_estimate(SampleConfig(N=1, **{name: True}))
+            orbit_estimates(SampleConfig(N=1, **{name: True}), [("denominator-growth", None)])
         with pytest.raises(TypeError):
-            levy_estimate(SampleConfig(N=1, **{name: fraction}))
+            orbit_estimates(SampleConfig(N=1, **{name: fraction}), [("denominator-growth", None)])
         assert draws == []
 
     def test_denominator_has_requested_bits(self):
@@ -79,7 +75,7 @@ class TestSampling:
         assert batch == list(reversed(again))
 
     def test_same_seed_same_expansion(self):
-        assert sample_orbit(CFG, 3) == sample_orbit(CFG, 3)
+        assert expand(sample_rational(CFG, 3), CFG.N) == expand(sample_rational(CFG, 3), CFG.N)
 
     @pytest.mark.parametrize("bits", [64, 72, 96, 100, 512, 513, 4096])
     def test_raw_stream_matches_generator_bytes(self, bits):
@@ -128,59 +124,59 @@ class TestSampling:
 
     def test_expansion_length_law_classical(self):
         cfg = SampleConfig(N=1, trials=20, denominator_bits=512, seed=1)
-        lengths = [len(sample_orbit(cfg, t)) for t in range(20)]
+        lengths = [len(expand(sample_rational(cfg, t), cfg.N)) for t in range(20)]
         predicted = 512 * math.log(2) / levy_L(1)
         assert np.mean(lengths) == pytest.approx(predicted, rel=0.05)
         # beyond N = 1 the length lies strictly between the two bounds
         for N in (2, 5, 10):
             cfg = SampleConfig(N=N, trials=20, denominator_bits=512, seed=1)
-            mean = np.mean([len(sample_orbit(cfg, t)) for t in range(20)])
+            mean = np.mean([len(expand(sample_rational(cfg, t), cfg.N)) for t in range(20)])
             assert 512 * math.log(2) / levy_L(N) < mean < 512 * math.log(2) / levy_lambda(N)
 
     def test_larger_index_gives_shorter_expansions(self):
         cfg1 = SampleConfig(N=1, trials=10, denominator_bits=512, seed=1)
         cfg10 = SampleConfig(N=10, trials=10, denominator_bits=512, seed=1)
-        len1 = np.mean([len(sample_orbit(cfg1, t)) for t in range(10)])
-        len10 = np.mean([len(sample_orbit(cfg10, t)) for t in range(10)])
+        len1 = np.mean([len(expand(sample_rational(cfg1, t), cfg1.N)) for t in range(10)])
+        len10 = np.mean([len(expand(sample_rational(cfg10, t), cfg10.N)) for t in range(10)])
         assert len10 < len1
 
 
 class TestBirkhoffEstimates:
     def test_geometric_mean(self):
-        report = birkhoff_estimate(CFG, "log-digit")
+        (report,) = orbit_estimates(CFG, [("log-digit", None)])
         assert report.quantity == "geometric-mean"
         assert report.rel_deviation < 0.025
         assert report.trials == 50
 
     def test_digit_frequency_default_digit(self):
-        report = birkhoff_estimate(CFG3, "digit-indicator")
+        (report,) = orbit_estimates(CFG3, [("digit-indicator", None)])
         assert report.target == frequency(3, 3)
         assert report.rel_deviation < 0.03
 
     def test_digit_frequency_other_digit(self):
-        report = birkhoff_estimate(CFG, "digit-indicator", M=2)
+        (report,) = orbit_estimates(CFG, [("digit-indicator", 2)])
         assert report.target == frequency(1, 2)
         assert report.rel_deviation < 0.05
 
     def test_harmonic_digit_mean(self):
-        report = birkhoff_estimate(CFG, "digit-power", r=-1.0)
+        (report,) = orbit_estimates(CFG, [("digit-power", -1.0)])
         assert report.rel_deviation < 0.02
 
     def test_impossible_indicator_rejected(self):
         with pytest.raises(ValueError):
-            birkhoff_estimate(CFG3, "digit-indicator", M=2)
+            orbit_estimates(CFG3, [("digit-indicator", 2)])
 
     def test_unknown_observable_rejected(self):
         with pytest.raises(ValueError):
-            birkhoff_estimate(CFG, "entropy")
+            orbit_estimates(CFG, [("entropy", None)])
 
     def test_power_needs_exponent(self):
         with pytest.raises(ValueError):
-            birkhoff_estimate(CFG, "digit-power")
+            orbit_estimates(CFG, [("digit-power", None)])
 
     def test_power_order_zero_rejected(self):
         with pytest.raises(ValueError):
-            birkhoff_estimate(CFG, "digit-power", r=0.0)
+            orbit_estimates(CFG, [("digit-power", 0.0)])
 
     @pytest.mark.parametrize("r", [1e-7, -1e-7, 1e-320])
     def test_power_order_too_close_to_zero_rejected_before_sampling(self, monkeypatch, r):
@@ -221,21 +217,6 @@ class TestBirkhoffEstimates:
             orbit_estimates(SampleConfig(N=N), [("log-derivative", None), request_])
         assert calls == []
 
-    @pytest.mark.parametrize("observable, params, message", [
-        ("digit-indicator", {"r": 0.5}, r"^digit-indicator takes no r, got r = 0\.5$"),
-        ("log-digit", {"r": -1.0}, r"^log-digit takes no r, got r = -1\.0$"),
-        ("digit-power", {"r": -1.0, "M": 2}, "^digit-power takes no M, got M = 2$"),
-        ("log-digit", {"M": 7}, "^log-digit takes no parameter, got 7$"),
-    ], ids=["r-to-digit-indicator", "r-to-log-digit", "M-to-digit-power", "M-to-log-digit"])
-    def test_stray_parameter_rejected_before_sampling(self, monkeypatch, observable, params,
-                                                      message):
-        calls = []
-        monkeypatch.setattr("ncfrac.ergodic._sample_pairs",
-                            lambda cfg, trials: calls.append(trials))
-        with pytest.raises(ValueError, match=message):
-            birkhoff_estimate(SampleConfig(N=1), observable, **params)
-        assert calls == []
-
     def test_infinite_power_order_still_divergent(self, monkeypatch):
         calls = []
         sample_pairs = ergodic._sample_pairs
@@ -254,7 +235,7 @@ class TestBirkhoffEstimates:
         assert report.to_record()["value"] == "divergent"
 
     def test_deviation_fields_consistent(self):
-        report = birkhoff_estimate(CFG, "log-digit")
+        (report,) = orbit_estimates(CFG, [("log-digit", None)])
         assert report.abs_deviation == abs(report.value - report.target)
         assert report.rel_deviation == report.abs_deviation / report.target
         # no deviation without a finite value and target, nor a relative one at a zero target
@@ -266,8 +247,8 @@ class TestBirkhoffEstimates:
                                   equal_nan=True)
 
     def test_reports_are_reproducible(self):
-        a = birkhoff_estimate(CFG, "log-digit")
-        b = birkhoff_estimate(CFG, "log-digit")
+        a = orbit_estimates(CFG, [("log-digit", None)])
+        b = orbit_estimates(CFG, [("log-digit", None)])
         assert a == b
 
     def test_one_pass_matches_single_observable_calls(self):
@@ -277,15 +258,7 @@ class TestBirkhoffEstimates:
             ("digit-power", -1.0), ("digit-power", 1.5), ("log-derivative", None),
             ("denominator-growth", None),
         ]
-        singles = [
-            birkhoff_estimate(cfg, "log-digit"),
-            birkhoff_estimate(cfg, "digit-indicator"),
-            birkhoff_estimate(cfg, "digit-indicator", M=3),
-            birkhoff_estimate(cfg, "digit-power", r=-1.0),
-            birkhoff_estimate(cfg, "digit-power", r=1.5),
-            lyapunov_estimate(cfg),
-            levy_estimate(cfg),
-        ]
+        singles = [orbit_estimates(cfg, [request])[0] for request in requests]
         reports = orbit_estimates(cfg, requests)
         assert reports == singles
         # the records were captured once trial t read PCG64(seed).jumped(t)
@@ -296,7 +269,7 @@ class TestBirkhoffEstimates:
 class TestDivergentObservable:
     def test_running_mean_outgrows_early_bound(self):
         cfg = SampleConfig(N=1, trials=200, denominator_bits=512, seed=0)
-        report = birkhoff_estimate(cfg, "digit-power", r=1.0)
+        (report,) = orbit_estimates(cfg, [("digit-power", 1.0)])
         assert math.isinf(report.value) and math.isinf(report.target)
         assert report.extras["diverges"] is True
         marks = report.extras["checkpoints"]
@@ -310,7 +283,7 @@ class TestDivergentObservable:
 
     def test_square_mean_grows_fast(self):
         cfg = SampleConfig(N=1, trials=60, denominator_bits=256, seed=2)
-        report = birkhoff_estimate(cfg, "digit-power", r=2.0)
+        (report,) = orbit_estimates(cfg, [("digit-power", 2.0)])
         means = report.extras["running_means"]
         assert means[-1] > 3 * means[0]
 
@@ -319,15 +292,16 @@ class TestDivergentObservable:
         # digit 1 to the power inf and digit powers past the float range are
         # inf, never nan or an OverflowError
         cfg = SampleConfig(N=1, trials=20, denominator_bits=128, seed=1)
-        report = birkhoff_estimate(cfg, "digit-power", r=r)
+        (report,) = orbit_estimates(cfg, [("digit-power", r)])
         assert not any(math.isnan(v) for v in report.extras["running_means"])
         json.dumps(report.to_record(), allow_nan=False)
 
     @pytest.mark.parametrize("r", [1.0, 1.5, 2.0])
     def test_running_means_are_the_pooled_power_sums(self, r):
         cfg = SampleConfig(N=1, trials=20, denominator_bits=128, seed=1)
-        report = birkhoff_estimate(cfg, "digit-power", r=r)
-        digits = [a for trial in range(cfg.trials) for a in sample_orbit(cfg, trial).coeffs]
+        (report,) = orbit_estimates(cfg, [("digit-power", r)])
+        digits = [a for trial in range(cfg.trials)
+                  for a in expand(sample_rational(cfg, trial), cfg.N).coeffs]
         powers = np.array([math.exp(r * math.log(a)) for a in digits])
         running = np.cumsum(powers) / np.arange(1, len(digits) + 1)
         marks = report.extras["checkpoints"]
@@ -335,14 +309,15 @@ class TestDivergentObservable:
 
     def test_divergent_record_serializes_without_inf(self):
         cfg = SampleConfig(N=1, trials=5, denominator_bits=128, seed=1)
-        record = birkhoff_estimate(cfg, "digit-power", r=1.5).to_record()
+        (report,) = orbit_estimates(cfg, [("digit-power", 1.5)])
+        record = report.to_record()
         assert record["value"] == "divergent"
         assert record["target"] == "divergent"
 
 
 class TestLyapunovAndLevy:
     def test_lyapunov_estimate(self):
-        report = lyapunov_estimate(CFG)
+        (report,) = orbit_estimates(CFG, [("log-derivative", None)])
         assert report.target == lyapunov_const(1)
         assert report.rel_deviation < 0.025
 
@@ -354,7 +329,8 @@ class TestLyapunovAndLevy:
             points = list(orbit(sample_rational(cfg, 0), N))[:-1][:max_terms]
             direct = sum(math.log(N) - 2 * (math.log(x.numerator) - math.log(x.denominator))
                          for x in points) / len(points)
-            assert lyapunov_estimate(cfg).value == pytest.approx(direct, rel=1e-13)
+            (report,) = orbit_estimates(cfg, [("log-derivative", None)])
+            assert report.value == pytest.approx(direct, rel=1e-13)
 
     @pytest.mark.parametrize("N", [1, 2, 3, 1000])
     @pytest.mark.parametrize("bits, max_terms", [(256, 10_000), (4096, 10_000), (4096, 40),
@@ -368,7 +344,8 @@ class TestLyapunovAndLevy:
             exp = expand(sample_rational(cfg, 0), N, max_terms)
             assert exp.terminated == (max_terms == 10_000)
             B = convergent_sequence(exp.coeffs, N).final.B
-            assert levy_estimate(cfg).value == pytest.approx(math.log(B) / len(exp), rel=1e-13)
+            (report,) = orbit_estimates(cfg, [("denominator-growth", None)])
+            assert report.value == pytest.approx(math.log(B) / len(exp), rel=1e-13)
 
     @staticmethod
     def _full_rho_rate(digits, log_ratio, x_n, N):
@@ -397,7 +374,7 @@ class TestLyapunovAndLevy:
             if p:  # a truncated orbit still takes its rho term
                 assert rate != (len(digits) * math.log(N) - log_ratio) / len(digits)
             rates.append(full)
-        report = levy_estimate(cfg)
+        (report,) = orbit_estimates(cfg, [("denominator-growth", None)])
         assert report.value == float(np.mean(rates))
         assert report.extras["min_rate"] == min(rates)
 
@@ -410,19 +387,21 @@ class TestLyapunovAndLevy:
         assert rate == math.log(convergent_sequence(digits, 2).final.B) / 3
 
     def test_levy_estimate(self):
-        report = levy_estimate(CFG3)
+        (report,) = orbit_estimates(CFG3, [("denominator-growth", None)])
         assert report.target == levy_L(3)
         assert report.rel_deviation < 0.01
 
     def test_levy_floor_respected(self):
-        report = levy_estimate(CFG)
+        (report,) = orbit_estimates(CFG, [("denominator-growth", None)])
         _, bound = lower_bounds(1)
         assert report.extras["min_rate"] >= bound - 0.01
 
     def test_standard_error_scaling(self):
         # doubling the trial count should shrink the standard error ~sqrt(2)
-        small = birkhoff_estimate(SampleConfig(N=1, trials=100, denominator_bits=256, seed=3), "log-digit")
-        large = birkhoff_estimate(SampleConfig(N=1, trials=200, denominator_bits=256, seed=3), "log-digit")
+        (small,) = orbit_estimates(SampleConfig(N=1, trials=100, denominator_bits=256, seed=3),
+                                   [("log-digit", None)])
+        (large,) = orbit_estimates(SampleConfig(N=1, trials=200, denominator_bits=256, seed=3),
+                                   [("log-digit", None)])
         se_small = small.per_trial_std / math.sqrt(small.trials)
         se_large = large.per_trial_std / math.sqrt(large.trials)
         assert 1.2 < se_small / se_large < 1.7
@@ -431,9 +410,11 @@ class TestLyapunovAndLevy:
         # a per-trial mean over an orbit four times as long spreads about
         # sqrt(128/512) = 0.5 as wide; one deviation against another is a coin
         # toss, the spread of 100 trials is not
-        for estimator in (lambda c: birkhoff_estimate(c, "log-digit"), lyapunov_estimate):
-            short = estimator(SampleConfig(N=1, trials=100, denominator_bits=128, seed=5))
-            long = estimator(SampleConfig(N=1, trials=100, denominator_bits=512, seed=5))
+        requests = [("log-digit", None), ("log-derivative", None)]
+        short_cfg, long_cfg = (SampleConfig(N=1, trials=100, denominator_bits=bits, seed=5)
+                               for bits in (128, 512))
+        for short, long in zip(orbit_estimates(short_cfg, requests),
+                               orbit_estimates(long_cfg, requests)):
             assert long.per_trial_std < 0.8 * short.per_trial_std
 
 
