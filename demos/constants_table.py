@@ -14,9 +14,9 @@ print(f"{'N':>5} {'K_N':>12} {'Lambda_N':>10} {'L_N':>8} {'lyapunov':>9} "
       f"{'loch':>7} {'lyap_bound':>11} {'denom_bound':>12}")
 for N in (1, 2, 3, 5, 10, 100):
     rep = ConstantsReport.compute(N)
-    print(f"{N:>5} {rep.khinchin:>12.6f} {rep.levy_lambda:>10.6f} {rep.levy_L:>8.4f} "
-          f"{rep.lyapunov:>9.4f} {rep.loch:>7.4f} {rep.lower_bound_lyapunov:>11.4f} "
-          f"{rep.lower_bound_denominator:>12.4f}")
+    print(f"{N:>5} {rep['khinchin']:>12.6f} {rep['levy_lambda']:>10.6f} {rep['levy_L']:>8.4f} "
+          f"{rep['lyapunov']:>9.4f} {rep['loch']:>7.4f} {rep['lower_bound_lyapunov']:>11.4f} "
+          f"{rep['lower_bound_denominator']:>12.4f}")
 
 print("\nlimit laws: K_N/N -> e, K_(N,-1)/N -> 2, K_(N,1/2)/N -> 4, Lambda_N -> 1")
 print(f"{'N':>7} {'K_N/N':>10} {'K(-1)/N':>9} {'K(1/2)/N':>9} {'Lambda_N':>10}")

@@ -128,8 +128,7 @@ def _cmd_constants(args) -> tuple[Iterator[dict], int]:
         rs = [float(chunk) for chunk in args.r.split(",")]
     except ValueError:
         raise ValueError(f"orders must be numbers, got {args.r!r}") from None
-    reports = constants.ConstantsReport.compute_many(ns, rs)
-    return (report.to_record() for report in reports), 0
+    return constants.ConstantsReport.compute_many(ns, rs), 0
 
 
 def _row(suite: str, n: int, quantity: str, value, target, tolerance: float, deviation,
@@ -373,7 +372,8 @@ def main(argv=None) -> int:
         try:
             results, code = args.func(args)
         except (ValueError, TypeError, OverflowError, ImportError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
+            with contextlib.suppress(OSError):  # exit 2 even if stderr is closed
+                print(f"error: {exc}", file=sys.stderr)
             return 2
         if args.format == "json":
             config = {key: value for key, value in vars(args).items()
@@ -394,7 +394,8 @@ def main(argv=None) -> int:
             if not args.output:  # fd 1 on os.devnull: the flush at exit cannot fail again
                 with contextlib.suppress(OSError), open(os.devnull, "w") as devnull:
                     os.dup2(devnull.fileno(), sys.stdout.fileno())  # OSError: no descriptor
-            print(f"error: {exc}", file=sys.stderr)
+            with contextlib.suppress(OSError):
+                print(f"error: {exc}", file=sys.stderr)
             return 2
         return code
     finally:

@@ -46,7 +46,6 @@ import itertools
 import math
 import sys
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -378,49 +377,16 @@ def lower_bounds(N: int) -> tuple[float, float]:
     return lyap, denom
 
 
-@dataclass(slots=True)
-class ConstantsReport:
-    """Every closed-form constant for one index N, with series diagnostics.
-
-    A report holds the flat record that compute_many builds for it, and each
-    field reads off that record: N, khinchin, levy_lambda, levy_L, lyapunov,
-    loch, lower_bound_lyapunov and lower_bound_denominator are its entries
-    of the same names.  ``holder_means`` pairs each requested order r with
-    its value; divergent orders (r >= 1) carry math.inf, which the record
-    holds as the string "divergent" so no bare infinity leaks into
-    serialized output.  ``order_labels`` names each order in the record's
-    keys, as _order_label; ``diagnostics`` maps each summed series to its
-    (terms, tail bound).  Two reports are equal when their orders and their
-    records are.
+class ConstantsReport(dict):
+    """Every closed-form constant for one index N, with series diagnostics, as
+    the flat JSON/CSV-friendly record compute_many builds: N, khinchin,
+    levy_lambda, levy_L, lyapunov, loch, lower_bound_lyapunov,
+    lower_bound_denominator, each holder_mean[r=...] keyed by _order_label
+    ("divergent" for r >= 1, so no bare infinity leaks into serialized
+    output), then each summed series' _terms and _tail_bound.
     """
 
-    _record: dict
-    _orders: tuple[tuple[float, str], ...]
-
-    N = property(lambda self: self._record["N"])
-    khinchin = property(lambda self: self._record["khinchin"])
-    levy_lambda = property(lambda self: self._record["levy_lambda"])
-    levy_L = property(lambda self: self._record["levy_L"])
-    lyapunov = property(lambda self: self._record["lyapunov"])
-    loch = property(lambda self: self._record["loch"])
-    lower_bound_lyapunov = property(lambda self: self._record["lower_bound_lyapunov"])
-    lower_bound_denominator = property(lambda self: self._record["lower_bound_denominator"])
-
-    @property
-    def holder_means(self) -> tuple[tuple[float, float], ...]:
-        values = (self._record[f"holder_mean[r={label}]"] for _, label in self._orders)
-        return tuple((r, math.inf if value == "divergent" else value)
-                     for (r, _), value in zip(self._orders, values))
-
-    @property
-    def order_labels(self) -> tuple[str, ...]:
-        return tuple(label for _, label in self._orders)
-
-    @property
-    def diagnostics(self) -> dict[str, tuple[int, float]]:
-        names = ("khinchin", *(f"holder[r={label}]" for _, label in self._orders))
-        return {name: (self._record[f"{name}_terms"], self._record[f"{name}_tail_bound"])
-                for name in names if f"{name}_terms" in self._record}
+    __slots__ = ()
 
     @classmethod
     def compute(cls, N: int, rs: Sequence[float] = (-1.0, 0.5)) -> "ConstantsReport":
@@ -432,18 +398,18 @@ class ConstantsReport:
         """One report per requested index, in request order, duplicates kept;
         each digit-mean series is summed once for all of them.  Every check of
         every index runs before this returns; each report is made as it is read,
-        its record keyed in to_record's order by keys formed once here."""
+        by keys formed once here."""
         ns = [check_index(N) for N in ns]
         geometric = _geometric_mean_series(ns)
         series = {r: _holder_series(ns, r) for r in rs if not (r >= 1 or r == 0)}
         # each N's place in the series columns, whose walk takes the distinct N largest first
         position = {N: i for i, N in enumerate(sorted(set(ns), reverse=True))}
         khinchins = [_checked("khinchin", N, math.exp, geometric[0][position[N]]) for N in ns]
-        orders = tuple((r, _order_label(r)) for r in rs)
-        holder_keys = [(f"holder_mean[r={label}]", r) for r, label in orders]
+        labels = [_order_label(r) for r in rs]
+        holder_keys = [(f"holder_mean[r={label}]", r) for r, label in zip(rs, labels)]
         diagnostic_keys = [(f"{name}_terms", f"{name}_tail_bound", table) for name, table in (
             ("khinchin", geometric),
-            *((f"holder[r={label}]", series[r]) for r, label in orders if r in series))]
+            *((f"holder[r={label}]", series[r]) for r, label in zip(rs, labels) if r in series))]
         log10 = math.log(10)
 
         def reports() -> Iterator["ConstantsReport"]:
@@ -452,20 +418,14 @@ class ConstantsReport:
                 lam = levy_lambda(N)
                 lyap = 2.0 * lam + log_n
                 lyap_bound, denom_bound = lower_bounds(N)
-                record = {"N": N, "khinchin": khin, "levy_lambda": lam, "levy_L": lam + log_n,
-                          "lyapunov": lyap, "loch": log10 / lyap,
-                          "lower_bound_lyapunov": lyap_bound,
-                          "lower_bound_denominator": denom_bound}
+                report = cls(N=N, khinchin=khin, levy_lambda=lam, levy_L=lam + log_n,
+                             lyapunov=lyap, loch=log10 / lyap,
+                             lower_bound_lyapunov=lyap_bound,
+                             lower_bound_denominator=denom_bound)
                 for key, r in holder_keys:
-                    record[key] = "divergent" if r >= 1 else khin if r == 0 else series[r][0][i]
+                    report[key] = "divergent" if r >= 1 else khin if r == 0 else series[r][0][i]
                 for terms_key, bound_key, (_, terms, bounds) in diagnostic_keys:
-                    record[terms_key], record[bound_key] = terms[i], bounds[i]
-                yield cls(record, orders)
+                    report[terms_key], report[bound_key] = terms[i], bounds[i]
+                yield report
 
         return reports()
-
-    def to_record(self) -> dict:
-        """The flat JSON/CSV-friendly key-value record, as a copy: N, khinchin,
-        levy_lambda, levy_L, lyapunov, loch, the two lower bounds, each
-        holder_mean[r=...], then each series' _terms and _tail_bound."""
-        return dict(self._record)

@@ -247,7 +247,7 @@ class TestConstants:
     def test_plain_output_prints_plain_numbers(self, capsys):
         code, out, _ = run_cli(capsys, "constants", "--n", "2")
         assert code == 0 and "np.float64(" not in out
-        record = ConstantsReport.compute(2, rs=(-1.0, 0.5, 1.0)).to_record()
+        record = ConstantsReport.compute(2, rs=(-1.0, 0.5, 1.0))
         assert {type(value) for value in record.values()} == {int, float, str}
 
     @pytest.mark.filterwarnings("error")
@@ -903,3 +903,17 @@ class TestWriteErrors:
             process.stdout.close()
             _, err = process.communicate(timeout=120)
         assert process.returncode == 2 and re.fullmatch(r"error: [^\n]*\n", err.decode()), err
+
+    @pytest.mark.parametrize("argv", [["constants", "--n", "1..3000", "--format", "json"],
+                                      ["constants", "--n", "0"]], ids=["write", "input"])
+    def test_unwritable_error_line_still_exits_2(self, argv):
+        # stdout and stderr on one pipe whose reader is gone, as in `2>&1 | head -1`:
+        # the error line cannot be written either, and the status still says exit 2
+        reader, writer = os.pipe()
+        os.close(reader)
+        try:
+            done = subprocess.run([sys.executable, "-m", "ncfrac.cli", *argv], stdout=writer,
+                                  stderr=writer, env=_cli_env(), timeout=120)
+        finally:
+            os.close(writer)
+        assert done.returncode == 2

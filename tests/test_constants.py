@@ -185,7 +185,7 @@ class TestKhinchinMean:
     @pytest.mark.parametrize("N", [1, 2, 3, 2048, 10**6, 10**15, 10**300])
     def test_own_series_gives_the_reports_value(self, N):
         # khinchin sums its single-index series itself; a report reads the same float
-        assert khinchin(N).hex() == ConstantsReport.compute(N, ()).khinchin.hex()
+        assert khinchin(N).hex() == ConstantsReport.compute(N, ())["khinchin"].hex()
 
     def test_overflow_is_named(self):
         N = 2**1024 - 2**971
@@ -371,13 +371,13 @@ class TestLowerBounds:
 class TestConstantsReport:
     def test_internal_consistency(self):
         report = ConstantsReport.compute(2, rs=(-1.0, 0.5, 1.0))
-        assert report.lyapunov == 2 * report.levy_lambda + math.log(2)
-        assert report.levy_L == report.levy_lambda + math.log(2)
-        assert report.loch == math.log(10) / report.lyapunov
-        assert report.khinchin == pytest.approx(K_GEOMETRIC[2], abs=1e-12)
+        assert report["lyapunov"] == 2 * report["levy_lambda"] + math.log(2)
+        assert report["levy_L"] == report["levy_lambda"] + math.log(2)
+        assert report["loch"] == math.log(10) / report["lyapunov"]
+        assert report["khinchin"] == pytest.approx(K_GEOMETRIC[2], abs=1e-12)
 
     def test_divergent_entries_serialized_as_text(self):
-        record = ConstantsReport.compute(1, rs=(0.5, 1.0)).to_record()
+        record = ConstantsReport.compute(1, rs=(0.5, 1.0))
         assert record["holder_mean[r=1]"] == "divergent"
         assert isinstance(record["holder_mean[r=0.5]"], float)
 
@@ -387,64 +387,51 @@ class TestConstantsReport:
         N = 3
         report = ConstantsReport.compute(N, rs=(-1.0,))
         scale = math.log1p(1 / N)
-        terms, bound = report.diagnostics["khinchin"]
+        terms, bound = report["khinchin_terms"], report["khinchin_tail_bound"]
         assert terms > 0
         assert 0 <= bound <= 2.0**-60 * math.log1p(1 / N) * math.log1p(1 / (N + 1)) / scale
-        terms, bound = report.diagnostics["holder[r=-1]"]
+        terms, bound = report["holder[r=-1]_terms"], report["holder[r=-1]_tail_bound"]
         assert terms > 0
         assert 0 <= bound <= 2.0**-60 * math.log1p(1 / (N * (N + 2))) / N / scale
 
     def test_record_keys_stable(self):
-        record = ConstantsReport.compute(1).to_record()
+        record = ConstantsReport.compute(1)
         for key in (
             "N", "khinchin", "levy_lambda", "levy_L", "lyapunov", "loch",
             "lower_bound_lyapunov", "lower_bound_denominator",
         ):
             assert key in record
 
-    def test_record_is_the_flattened_fields(self):
-        # the record, key order included, against a flattening of the report's fields
-        rs = (-1.0, -0.5, 0.0, 0.5, 0.9, 1.0, 2.0)
-        reports = list(ConstantsReport.compute_many(range(1, 60), rs=rs))
-        assert [report.N for report in reports] == list(range(1, 60))
-        for report in reports:
-            record = {key: getattr(report, key) for key in (
+    def test_record_keys_and_values(self):
+        # the record's keys in order, and its values against the module's own
+        # functions at indices over 2048 apart, each its own anchor
+        rs = (-1.0, 0.0, -0.0, 0.5, 1.0, 2.0)
+        for report in ConstantsReport.compute_many([1, 3000, 10**6], rs=rs):
+            assert list(report) == [
                 "N", "khinchin", "levy_lambda", "levy_L", "lyapunov", "loch",
-                "lower_bound_lyapunov", "lower_bound_denominator")}
-            assert report.order_labels == ("-1", "-0.5", "0", "0.5", "0.9", "1", "2")
-            for label, (r, value) in zip(report.order_labels, report.holder_means):
-                assert float(label) == r
-                record[f"holder_mean[r={label}]"] = "divergent" if math.isinf(value) else value
-            assert list(report.diagnostics) == [
-                "khinchin", "holder[r=-1]", "holder[r=-0.5]", "holder[r=0.5]", "holder[r=0.9]"]
-            for name, (terms, bound) in report.diagnostics.items():
-                record[f"{name}_terms"] = terms
-                record[f"{name}_tail_bound"] = bound
-            assert list(report.to_record().items()) == list(record.items())
-            assert report.to_record() is not report.to_record()
+                "lower_bound_lyapunov", "lower_bound_denominator",
+                "holder_mean[r=-1]", "holder_mean[r=0]", "holder_mean[r=-0]",
+                "holder_mean[r=0.5]", "holder_mean[r=1]", "holder_mean[r=2]",
+                "khinchin_terms", "khinchin_tail_bound",
+                "holder[r=-1]_terms", "holder[r=-1]_tail_bound",
+                "holder[r=0.5]_terms", "holder[r=0.5]_tail_bound"]
+            N = report["N"]
+            means = ["divergent" if r >= 1 else holder_mean(N, r) for r in rs]
+            assert list(report.values())[:14] == [
+                N, khinchin(N), levy_lambda(N), levy_L(N), lyapunov_const(N), loch(N),
+                *lower_bounds(N), *means]
 
     def test_fields_hold_their_formulas(self):
         # indices over 2048 apart: each is its own anchor, as holder_mean sums it
         for report in ConstantsReport.compute_many([1, 3000, 10**6], rs=(0.0, 0.5, 1.0)):
-            N = report.N
-            assert report.levy_lambda == levy_lambda(N)
-            assert report.levy_L == levy_L(N)
-            assert (report.lower_bound_lyapunov, report.lower_bound_denominator) == (
+            N = report["N"]
+            assert report["levy_lambda"] == levy_lambda(N)
+            assert report["levy_L"] == levy_L(N)
+            assert (report["lower_bound_lyapunov"], report["lower_bound_denominator"]) == (
                 lower_bounds(N))
-            assert report.holder_means == ((0.0, report.khinchin),
-                                           (0.5, holder_mean(N, 0.5)), (1.0, math.inf))
-
-    def test_equality_reads_orders_and_values(self):
-        assert ConstantsReport.compute(2) == ConstantsReport.compute(2)
-        assert ConstantsReport.compute(2) != ConstantsReport.compute(3)
-        assert ConstantsReport.compute(2, rs=(0.5, -1.0)) != ConstantsReport.compute(2)
-        assert ConstantsReport.compute(2, rs=(0.0,)) != ConstantsReport.compute(2, rs=(-0.0,))
-        assert ConstantsReport.compute(2) != object()
-
-    def test_repr_shows_the_record(self):
-        report = ConstantsReport.compute(2, rs=(0.5,))
-        assert repr(report) == (f"ConstantsReport(_record={report.to_record()!r}, "
-                                "_orders=((0.5, '0.5'),))")
+            assert (report["holder_mean[r=0]"], report["holder_mean[r=0.5]"],
+                    report["holder_mean[r=1]"]) == (
+                report["khinchin"], holder_mean(N, 0.5), "divergent")
 
 
 @functools.lru_cache(maxsize=None)  # the oracle tests share many (N, r) pairs
@@ -478,7 +465,7 @@ class TestMpmathOracle:
     def test_tail_bounds_cover_true_error(self, N):
         mpmath = pytest.importorskip("mpmath")
         rs = (-1.0, 0.5, 0.9)
-        record = ConstantsReport.compute(N, rs=rs).to_record()
+        record = ConstantsReport.compute(N, rs=rs)
         with mpmath.workdps(30):
             exact = _mpmath_digit_mean(mpmath, N, None)
             error = abs(mpmath.log(khinchin(N)) - exact)
@@ -512,7 +499,7 @@ BATCH_RS = (-1.0, -0.5, 0.5, 0.9)
 @pytest.fixture(scope="module")
 def batch():
     """One request for N = 1..3000: every series is one suffix sum walked down."""
-    return {report.N: report for report in
+    return {report["N"]: report for report in
             ConstantsReport.compute_many(range(1, 3001), rs=BATCH_RS)}
 
 
@@ -523,15 +510,18 @@ class TestConstantsBatch:
         report = batch[N]
         with mpmath.workdps(30):
             exact = _mpmath_digit_mean(mpmath, N, None)
-            assert abs(mpmath.log(report.khinchin) - exact) <= 2e-15 * abs(exact)
+            assert abs(mpmath.log(report["khinchin"]) - exact) <= 2e-15 * abs(exact)
             # every order, r = 0.9 included, to within a few units of double rounding
-            for r, value in report.holder_means:
+            for r in BATCH_RS:
                 exact = _mpmath_digit_mean(mpmath, N, r)
+                value = report[f"holder_mean[r={r:g}]"]
                 assert abs(mpmath.mpf(value) ** r - exact) <= 4e-16 * exact, r
 
     def test_tail_bounds_meet_tol(self, batch):
+        names = ("khinchin", *(f"holder[r={r:g}]" for r in BATCH_RS))
         for report in batch.values():
-            for terms, bound in report.diagnostics.values():
+            for name in names:
+                terms, bound = report[f"{name}_terms"], report[f"{name}_tail_bound"]
                 assert terms > 0 and 0 <= bound <= 1e-12
 
     def test_request_order_and_duplicates_kept(self, capsys):
@@ -550,7 +540,7 @@ class TestConstantsBatch:
         finally:
             tracemalloc.stop()
         assert held <= 1.5 * 2**20
-        assert next(reports).N == 1
+        assert next(reports)["N"] == 1
 
     @pytest.mark.parametrize("ns, rs, name, N", [
         ([7 * 10**307, 10**308], (), "khinchin", 7 * 10**307),
@@ -662,9 +652,8 @@ class TestSuffixSeries:
 
 class TestOrderLabels:
     def test_signed_zero_orders_keep_their_own_keys(self):
-        for report in ConstantsReport.compute_many([1, 2], rs=(-0.0, 0.0, -1.0)):
-            record = report.to_record()
-            assert record["holder_mean[r=-0]"] == record["holder_mean[r=0]"] == report.khinchin
+        for record in ConstantsReport.compute_many([1, 2], rs=(-0.0, 0.0, -1.0)):
+            assert record["holder_mean[r=-0]"] == record["holder_mean[r=0]"] == record["khinchin"]
             assert [key for key in record if key.startswith("holder_mean")] == [
                 "holder_mean[r=-0]", "holder_mean[r=0]", "holder_mean[r=-1]"]
 
@@ -677,8 +666,7 @@ class TestOrderLabels:
 
         monkeypatch.setattr(constants, "_order_label", counting)
         rs = (-1.0, 0.0, 0.5, 2.0)
-        records = [report.to_record()
-                   for report in ConstantsReport.compute_many(range(1, 60), rs=rs)]
+        records = list(ConstantsReport.compute_many(range(1, 60), rs=rs))
         assert len(records) == 59 and "holder[r=0.5]_terms" in records[-1]
         # once for the report keys, once more inside each summed series
         assert len(calls) == len(rs) + 2
